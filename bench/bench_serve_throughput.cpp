@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
     serve::EngineConfig config;
     config.workers = workers;
     config.max_batch = 32;
-    config.max_wait_us = 100;
     config.extract_retry.base_delay_us = 10;
     config.extract_retry.max_delay_us = 500;
     serve::ScoringEngine engine(upstream, *detector, config);

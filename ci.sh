@@ -17,7 +17,8 @@
 # mode (validating BENCH_stream.json: both arrival scenarios present,
 # finite rows/s and shed/error rates, accounting identity intact, windowed
 # SLO sample and per-stage queue-wait/service-time attribution rows, plus
-# the network row the socket-path scenario emits), a scrape smoke
+# the network row the socket-path scenario emits, whose engine queue-wait
+# p50 must stay <= 0.25x its client RTT p50), a scrape smoke
 # (stream_follower serving /metrics,/vars,/healthz on loopback mid-run,
 # exposition linted, health JSON schema-checked), and a JSON-RPC smoke
 # (score_server on ephemeral ports, a single phook_score plus a mixed batch
@@ -257,6 +258,17 @@ for stage, kind in (("connect", "service"), ("rtt", "service"),
         assert math.isfinite(s[key]), f"network stage {stage} bad {key}"
 assert net_stages["parse"]["count"] > 0, "no frames parsed on the socket path"
 assert net_stages["queue"]["count"] > 0, "socket traffic never hit the engine"
+# Batching by arrival keeps the engine queue a small share of the client
+# RTT; a timed batch hold shows up here as a ratio near 0.6.
+queue_p50 = net_stages["queue"]["p50_us"]
+rtt_p50 = net_stages["rtt"]["p50_us"]
+assert queue_p50 <= 0.25 * rtt_p50, (
+    f"network engine queue p50 {queue_p50:.1f} us > 0.25 x rtt p50 "
+    f"{rtt_p50:.1f} us")
+print(f"network engine queue p50 {queue_p50:.1f} us = "
+      f"{queue_p50 / rtt_p50:.2f} x rtt p50 {rtt_p50:.1f} us")
+burst = next(r for r in rows if r["scenario"] == "mempool_burst")
+print(f"mempool_burst in-process: {burst['sustained_rows_per_s']:.0f} rows/s")
 print(f"BENCH_stream.json ok: {len(rows)} scenarios, "
       + ", ".join(f"{r['scenario']}={r['sustained_rows_per_s']:.0f} rows/s"
                   for r in rows)
@@ -692,7 +704,11 @@ check_stream_json build-ci-release/BENCH_stream.json
 # <= 0.5 pp accuracy loss, plus the disabled / full-band control points.
 (cd build-ci-release && ./bench/bench_cascade --smoke)
 check_cascade_json build-ci-release/BENCH_cascade.json
-(cd build-ci-release && ./bench/bench_serve_throughput 1)
+(cd build-ci-release && ./bench/bench_serve_throughput 1 |
+  tee serve_throughput.out)
+awk 'NF == 9 && $1 ~ /^[0-9]+$/ {
+  printf "bench_serve_throughput: %s workers, %s rows/s\n", $1, $3 }' \
+  build-ci-release/serve_throughput.out
 check_prometheus build-ci-release/BENCH_serve_metrics.prom
 (cd build-ci-release &&
   PHISHINGHOOK_TRACE=scanner_trace.json ./examples/contract_scanner)

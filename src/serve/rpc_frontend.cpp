@@ -122,33 +122,34 @@ JsonValue RpcFrontend::score_batch(const JsonValue& params,
   }
   const JsonValue::Array& entries = params.as_array()[0].as_array();
 
-  // Submit the whole wave before waiting on anything — that is what lets
-  // the engine micro-batch the addresses into shared predict_proba calls.
-  struct Slot {
-    JsonValue ready;  ///< filled now for invalid entries
-    std::optional<std::future<ScoreResult>> future;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(entries.size());
+  // Admit every valid address as one engine wave before waiting on
+  // anything, so the rows fill whole batches; invalid entries answer in
+  // place, and the response keeps request order.
+  std::vector<evm::Address> addresses;
+  std::vector<std::optional<JsonValue>> invalid;
+  addresses.reserve(entries.size());
+  invalid.reserve(entries.size());
   for (const JsonValue& entry : entries) {
-    Slot slot;
     std::string why;
-    const std::optional<evm::Address> address = parse_address(entry, &why);
-    if (!address) {
-      slot.ready = invalid_address_object(entry, why);
+    if (const std::optional<evm::Address> address =
+            parse_address(entry, &why)) {
+      addresses.push_back(*address);
+      invalid.emplace_back();
     } else {
-      slot.future = engine_.try_submit(*address, call.ctx);
-      if (!slot.future) {
-        throw RpcError(rpc_errors::kShed, "scoring engine is shutting down");
-      }
+      invalid.push_back(invalid_address_object(entry, why));
     }
-    slots.push_back(std::move(slot));
+  }
+  std::optional<std::vector<std::future<ScoreResult>>> futures =
+      engine_.try_submit_many(addresses, call.ctx);
+  if (!futures) {
+    throw RpcError(rpc_errors::kShed, "scoring engine is shutting down");
   }
 
   JsonValue results = JsonValue::array();
-  for (Slot& slot : slots) {
-    results.push_back(slot.future ? result_object(slot.future->get())
-                                  : std::move(slot.ready));
+  std::size_t next = 0;
+  for (std::optional<JsonValue>& entry : invalid) {
+    results.push_back(entry ? std::move(*entry)
+                            : result_object((*futures)[next++].get()));
   }
   return results;
 }

@@ -7,10 +7,10 @@
 //                    object (probability, flagged, status, cache_hit,
 //                    cascade stage + model attribution, latency
 //                    attribution, trace_id)
-//   phook_scoreBatch params [["0x..", "0x..", ...]] — scored as one
-//                    engine wave (all submitted before any wait); bad hex
-//                    entries come back as status "invalid_address" without
-//                    failing the rest
+//   phook_scoreBatch params [["0x..", "0x..", ...]] — the valid entries
+//                    are admitted as one engine wave (try_submit_many)
+//                    before any wait; bad hex entries come back in place as
+//                    status "invalid_address" without failing the rest
 //   phook_health     no params — engine counters + cache stats + the
 //                    net-layer's own request counts, as one JSON object;
 //                    when the engine serves a CascadeScorer, a "cascade"
@@ -18,7 +18,7 @@
 //
 // The request's causal identity crosses the boundary: the socket layer
 // mints the obs::RequestContext when the HTTP frame completes, and the
-// handlers pass it into ScoringEngine::submit, so one trace id spans
+// handlers pass it into the engine's admission, so one trace id spans
 // net.parse -> net.dispatch -> engine queue -> extract -> predict in the
 // exported Perfetto trace.
 //

@@ -1,7 +1,6 @@
 #include "serve/scoring_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <functional>
 #include <unordered_map>
@@ -101,10 +100,6 @@ void ScoringEngine::deliver(Request& request, ScoreResult result) {
   request.promise.set_value(std::move(result));
 }
 
-std::future<ScoreResult> ScoringEngine::submit(const evm::Address& address) {
-  return submit(address, obs::RequestContext{});
-}
-
 std::future<ScoreResult> ScoringEngine::submit(const evm::Address& address,
                                                obs::RequestContext ctx) {
   std::optional<std::future<ScoreResult>> future =
@@ -116,59 +111,77 @@ std::future<ScoreResult> ScoringEngine::submit(const evm::Address& address,
 }
 
 std::optional<std::future<ScoreResult>> ScoringEngine::try_submit(
-    const evm::Address& address) {
-  return try_submit(address, obs::RequestContext{});
+    const evm::Address& address, obs::RequestContext ctx) {
+  std::optional<std::vector<std::future<ScoreResult>>> wave =
+      try_submit_many({&address, 1}, std::move(ctx));
+  if (!wave.has_value()) return std::nullopt;
+  return std::move(wave->front());
 }
 
-std::optional<std::future<ScoreResult>> ScoringEngine::try_submit(
-    const evm::Address& address, obs::RequestContext ctx) {
+std::optional<std::vector<std::future<ScoreResult>>>
+ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
+                               obs::RequestContext ctx) {
   obs::Tracer& tracer = obs::Tracer::global();
-  if (!ctx.valid()) ctx = obs::mint_request(tracer);
+  std::vector<Request> wave(addresses.size());
+  std::vector<std::future<ScoreResult>> futures;
+  futures.reserve(addresses.size());
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    wave[i].address = addresses[i];
+    wave[i].ctx = ctx.valid() ? ctx : obs::mint_request(tracer);
+    futures.push_back(wave[i].promise.get_future());
+  }
   // Restamp the hand-off: from here queue-wait means *this* queue, not
   // whatever upstream hop the context already traveled.
-  ctx.handoff_us = tracer.now_us();
-  Request request;
-  request.address = address;
-  request.ctx = ctx;
-  std::future<ScoreResult> future = request.promise.get_future();
-  bool admitted = false;
+  const double handoff_us = tracer.now_us();
+  std::size_t admitted = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
-      // The lane ends here (whether we minted it or it arrived from
-      // upstream, it was handed to us by value) — close it instead of
-      // leaving an unclosed async slice in the trace.
-      obs::finish_request(ctx, tracer);
+      // The lanes end here (whether we minted them or they arrived from
+      // upstream, they were handed to us by value) — close them instead of
+      // leaving unclosed async slices in the trace.
+      for (Request& request : wave) obs::finish_request(request.ctx, tracer);
       return std::nullopt;
     }
-    if (config_.max_queue == 0 || queue_.size() < config_.max_queue) {
+    for (Request& request : wave) {
+      if (config_.max_queue != 0 && queue_.size() >= config_.max_queue) break;
+      request.ctx.handoff_us = handoff_us;
       queue_.push_back(std::move(request));
-      metrics_.queue_depth.set(static_cast<double>(queue_.size()));
-      admitted = true;
+      ++admitted;
     }
+    metrics_.queue_depth.set(static_cast<double>(queue_.size()));
   }
-  metrics_.requests_submitted.inc();
-  if (admitted) {
-    queue_cv_.notify_one();
-  } else {
-    // Reject-on-full: resolve right here instead of letting the queue grow
-    // without bound — the caller learns immediately and can back off.
+  metrics_.requests_submitted.inc(wave.size());
+  // One worker per batch's worth of rows (a 64-row wave wakes two workers
+  // that each take a full batch), and never fewer than two: a sleeping
+  // worker's CPU may be idle, and on a VM waking it waits on the host
+  // scheduler. The first worker to run takes the rows; the other finds the
+  // queue empty and sleeps again, so queue wait is the faster of two wakes.
+  if (admitted > 0) {
+    const std::size_t wakes = std::max<std::size_t>(
+        2, (admitted + config_.max_batch - 1) / config_.max_batch);
+    for (std::size_t i = 0; i < wakes; ++i) queue_cv_.notify_one();
+  }
+  // Reject-on-full: resolve right here instead of letting the queue grow
+  // without bound — the caller learns immediately and can back off.
+  for (std::size_t i = admitted; i < wave.size(); ++i) {
     ScoreResult shed;
     shed.status = ScoreStatus::kShed;
     shed.error = "queue full (max_queue=" +
                  std::to_string(config_.max_queue) + ")";
-    deliver(request, std::move(shed));
+    deliver(wave[i], std::move(shed));
   }
-  return future;
+  return futures;
 }
 
 std::vector<ScoreResult> ScoringEngine::score_all(
     const std::vector<evm::Address>& addresses) {
-  std::vector<std::future<ScoreResult>> futures;
-  futures.reserve(addresses.size());
-  for (const evm::Address& address : addresses) {
-    futures.push_back(submit(address));
+  std::optional<std::vector<std::future<ScoreResult>>> wave =
+      try_submit_many(addresses);
+  if (!wave.has_value()) {
+    throw StateError("ScoringEngine::score_all after shutdown");
   }
+  std::vector<std::future<ScoreResult>>& futures = *wave;
   // Collect everything: a single bad future must not abandon the results
   // (and the worker-side promises) of the requests after it.
   std::vector<ScoreResult> results;
@@ -208,30 +221,18 @@ void ScoringEngine::worker_loop() {
 
 std::vector<ScoringEngine::Request> ScoringEngine::next_batch() {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) return {};  // only reachable when stopping_
-    // Micro-batch: hold an under-full batch open briefly so closely spaced
-    // arrivals share one model invocation. Another worker may drain the
-    // queue while we wait, so re-check and go back to sleep if so.
-    if (queue_.size() < config_.max_batch && !stopping_) {
-      queue_cv_.wait_for(lock, std::chrono::microseconds(config_.max_wait_us),
-                         [this] {
-                           return stopping_ ||
-                                  queue_.size() >= config_.max_batch;
-                         });
-      if (queue_.empty()) continue;
-    }
-    const std::size_t take = std::min(queue_.size(), config_.max_batch);
-    std::vector<Request> batch;
-    batch.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    metrics_.queue_depth.set(static_cast<double>(queue_.size()));
-    return batch;
+  queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+  // Batch by arrival: take whatever queued while the workers were busy, at
+  // once. An empty queue here means stopping and drained.
+  const std::size_t take = std::min(queue_.size(), config_.max_batch);
+  std::vector<Request> batch;
+  batch.reserve(take);
+  for (std::size_t i = 0; i < take; ++i) {
+    batch.push_back(std::move(queue_.front()));
+    queue_.pop_front();
   }
+  metrics_.queue_depth.set(static_cast<double>(queue_.size()));
+  return batch;
 }
 
 evm::Bytecode ScoringEngine::extract_code(const evm::Address& address) {
@@ -378,7 +379,8 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
         // not cached: the next request for this code hash retries the
         // heavy stage instead of pinning the fallback until eviction.
         if (!rows[u].degraded) {
-          cache_.put(miss_codes[u]->code_hash(),
+          // Key by the digest the probe already computed: no second Keccak.
+          cache_.put(slots[miss_slots[u].front()].hash,
                      CachedScore{rows[u].probability, rows[u].stage});
         }
         for (std::size_t slot_id : miss_slots[u]) {

@@ -355,7 +355,6 @@ TEST_F(CascadeEngineTest, WorkerCountsProduceBitIdenticalResults) {
     serve::EngineConfig config;
     config.workers = workers;
     config.max_batch = 8;
-    config.max_wait_us = 50;
     serve::ScoringEngine engine(*dataset().explorer, *scorer, config);
     by_workers.push_back(engine.score_all(addresses_));
   }

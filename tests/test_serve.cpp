@@ -1,7 +1,13 @@
 // Serving subsystem: artifact round-trips, the sharded LRU score cache,
-// service metrics, and the batching scoring engine (including the
-// multi-producer consistency check the TSan build exercises).
+// service metrics, the batching scoring engine (including the
+// multi-producer consistency check the TSan build exercises), wave
+// admission, and phook_scoreBatch over a loopback socket.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -15,6 +21,7 @@
 #include "ml/random_forest.hpp"
 #include "serve/artifact.hpp"
 #include "serve/metrics.hpp"
+#include "serve/rpc_frontend.hpp"
 #include "serve/score_cache.hpp"
 #include "serve/scoring_engine.hpp"
 #include "synth/dataset_builder.hpp"
@@ -55,6 +62,38 @@ core::HistogramAdapter fitted_adapter(
   core::HistogramAdapter adapter(std::move(model), "test-detector");
   adapter.fit(dataset_codes(), dataset_labels());
   return adapter;
+}
+
+/// One JSON-RPC POST to 127.0.0.1:port with Connection: close; returns
+/// the response body ("" on any transport failure).
+std::string rpc_post(std::uint16_t port, const std::string& body) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return {};
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string response;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    const std::string request =
+        "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+        std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
+        body;
+    if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+        static_cast<ssize_t>(request.size())) {
+      char buffer[4096];
+      ssize_t n = 0;
+      while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+        response.append(buffer, static_cast<std::size_t>(n));
+      }
+    }
+  }
+  ::close(fd);
+  const std::size_t head_end = response.find("\r\n\r\n");
+  return head_end == std::string::npos ? std::string()
+                                       : response.substr(head_end + 4);
 }
 
 evm::Hash256 hash_of_byte(std::uint8_t b) {
@@ -359,6 +398,21 @@ class ScoringEngineTest : public ::testing::Test {
     return out;
   }
 
+  /// Ground truth for a wave: its codes through one direct score_batch.
+  std::vector<ml::ScoredRow> direct_batch(
+      const std::vector<evm::Address>& wave) {
+    const core::BytecodeExtractionModule bem(*dataset().explorer);
+    std::vector<evm::Bytecode> codes;
+    for (const evm::Address& address : wave) {
+      codes.push_back(bem.extract(address).code);
+    }
+    std::vector<const evm::Bytecode*> views;
+    for (const evm::Bytecode& code : codes) views.push_back(&code);
+    std::vector<ml::ScoredRow> rows(views.size());
+    adapter_->score_batch(ml::BytecodeBatchView(views), rows);
+    return rows;
+  }
+
   std::unique_ptr<core::HistogramAdapter> adapter_;
   std::vector<evm::Address> addresses_;
 };
@@ -382,7 +436,6 @@ TEST_F(ScoringEngineTest, MultiProducerMultiWorkerMatchesSingleThreaded) {
   serve::EngineConfig config;
   config.workers = 4;
   config.max_batch = 8;
-  config.max_wait_us = 100;
   serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
 
   constexpr int kProducers = 4;
@@ -457,6 +510,72 @@ TEST_F(ScoringEngineTest, SubmitAfterShutdownThrows) {
   engine.shutdown();
   engine.shutdown();  // idempotent
   EXPECT_THROW(engine.submit(addresses_.front()), StateError);
+}
+
+TEST_F(ScoringEngineTest, WaveOfSixtyFourFillsExactlyTwoBatches) {
+  serve::EngineConfig config;
+  config.workers = 1;
+  config.max_batch = 32;
+  serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
+
+  const std::vector<evm::Address> wave(addresses_.begin(),
+                                       addresses_.begin() + 64);
+  ASSERT_EQ(std::set<evm::Address>(wave.begin(), wave.end()).size(), 64u);
+  std::optional<std::vector<std::future<serve::ScoreResult>>> futures =
+      engine.try_submit_many(wave);
+  ASSERT_TRUE(futures.has_value());
+  ASSERT_EQ(futures->size(), wave.size());
+
+  const std::vector<ml::ScoredRow> expected = direct_batch(wave);
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const serve::ScoreResult result = (*futures)[i].get();
+    EXPECT_EQ(result.address, wave[i]);
+    ASSERT_EQ(result.status, serve::ScoreStatus::kOk) << "row " << i;
+    EXPECT_EQ(result.probability, expected[i].probability) << "row " << i;
+  }
+  // The whole wave was queued before the idle worker woke, so it takes two
+  // full batches and never an under-full one.
+  EXPECT_EQ(engine.metrics().batches.value(), 2u);
+  EXPECT_EQ(engine.metrics().batched_requests.value(), 64u);
+}
+
+TEST_F(ScoringEngineTest, RpcScoreBatchOverLoopbackKeepsRequestOrder) {
+  serve::EngineConfig config;
+  config.workers = 2;
+  serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
+  serve::RpcFrontend frontend(engine);
+  frontend.start(0);
+
+  const std::vector<evm::Address> valid(addresses_.begin(),
+                                        addresses_.begin() + 3);
+  const std::string body =
+      R"({"jsonrpc":"2.0","id":7,"method":"phook_scoreBatch","params":[[")" +
+      valid[0].to_hex() + R"(","0xnothex",")" + valid[1].to_hex() +
+      R"(",42,")" + valid[2].to_hex() + R"("]]})";
+  const std::string response = rpc_post(frontend.port(), body);
+  frontend.stop();
+
+  const std::optional<net::JsonValue> doc = net::JsonValue::parse(response);
+  ASSERT_TRUE(doc.has_value()) << response;
+  const net::JsonValue* result = doc->find("result");
+  ASSERT_NE(result, nullptr) << response;
+  const net::JsonValue::Array& rows = result->as_array();
+  ASSERT_EQ(rows.size(), 5u);
+
+  const std::vector<ml::ScoredRow> expected = direct_batch(valid);
+  const std::size_t valid_at[] = {0, 2, 4};
+  for (std::size_t v = 0; v < valid.size(); ++v) {
+    const net::JsonValue& row = rows[valid_at[v]];
+    EXPECT_EQ(row.find("status")->as_string(), "ok");
+    EXPECT_EQ(row.find("address")->as_string(), valid[v].to_hex());
+    EXPECT_EQ(row.find("probability")->as_number(), expected[v].probability)
+        << "valid entry " << v;
+  }
+  for (const std::size_t invalid_at : {std::size_t{1}, std::size_t{3}}) {
+    EXPECT_EQ(rows[invalid_at].find("status")->as_string(),
+              "invalid_address");
+  }
+  EXPECT_EQ(engine.metrics().requests_submitted.value(), 3u);
 }
 
 TEST_F(ScoringEngineTest, MetricsDumpAfterTraffic) {

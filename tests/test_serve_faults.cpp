@@ -400,6 +400,61 @@ TEST(ChaosEngine, FullQueueRejectsInsteadOfGrowing) {
   EXPECT_EQ(terminal_total(engine.metrics()), 16u);
 }
 
+TEST(ChaosEngine, WaveAgainstFullQueueAdmitsExactlyTheRoom) {
+  core::HistogramAdapter adapter = fitted_adapter();
+  serve::EngineConfig config;
+  config.workers = 1;
+  config.max_queue = 4;
+  serve::ScoringEngine engine(*dataset().explorer, adapter, config);
+
+  const std::vector<evm::Address> addresses = all_addresses();
+  const std::vector<evm::Address> wave(addresses.begin(),
+                                       addresses.begin() + 16);
+  std::optional<std::vector<std::future<serve::ScoreResult>>> futures =
+      engine.try_submit_many(wave);
+  ASSERT_TRUE(futures.has_value());
+  ASSERT_EQ(futures->size(), 16u);
+  // The wave is admitted under one lock into an idle engine: the first
+  // four rows fill the queue, the other twelve are shed on the spot.
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const serve::ScoreResult result = (*futures)[i].get();
+    EXPECT_EQ(result.address, wave[i]);
+    if (i < 4) {
+      EXPECT_TRUE(result.ok()) << "row " << i;
+    } else {
+      EXPECT_EQ(result.status, serve::ScoreStatus::kShed) << "row " << i;
+      EXPECT_NE(result.error.find("queue full"), std::string::npos);
+    }
+  }
+  EXPECT_EQ(engine.metrics().requests_shed.value(), 12u);
+  EXPECT_EQ(engine.metrics().requests_submitted.value(), 16u);
+  EXPECT_EQ(terminal_total(engine.metrics()),
+            engine.metrics().requests_submitted.value());
+}
+
+TEST(ChaosEngine, WaveAfterShutdownIsRefusedAndCountsNothing) {
+  core::HistogramAdapter adapter = fitted_adapter();
+  serve::EngineConfig config;
+  config.workers = 2;
+  serve::ScoringEngine engine(*dataset().explorer, adapter, config);
+
+  const std::vector<evm::Address> addresses = all_addresses();
+  const std::vector<evm::Address> wave(addresses.begin(),
+                                       addresses.begin() + 8);
+  engine.score_all(wave);
+  engine.shutdown();
+
+  const serve::ServiceMetrics& m = engine.metrics();
+  const std::uint64_t submitted = m.requests_submitted.value();
+  const std::uint64_t terminal = terminal_total(m);
+  EXPECT_FALSE(engine.try_submit_many(wave).has_value());
+  EXPECT_FALSE(engine.try_submit(wave.front()).has_value());
+  EXPECT_THROW(engine.score_all(wave), StateError);
+  EXPECT_EQ(m.requests_submitted.value(), submitted);
+  EXPECT_EQ(terminal_total(m), terminal);
+  EXPECT_EQ(submitted, terminal);
+}
+
 TEST(ChaosEngine, ExpiredDeadlinesAreShedBeforeScoring) {
   core::HistogramAdapter adapter = fitted_adapter();
   chain::FaultConfig faults;
