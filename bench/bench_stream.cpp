@@ -14,7 +14,7 @@
 // schedules through the JSON-RPC front door over real loopback sockets:
 // client threads pace POST phook_score frames against serve::RpcFrontend,
 // and the "network" JSON object attributes each request's journey across
-// connect (client) / parse + dispatch + handle (net layer) / queue +
+// connect (client) / parse + handle (net layer) / queue +
 // extract + predict (engine), alongside client-observed RTT, RPS and the
 // shed ratio.
 #include <arpa/inet.h>
@@ -211,7 +211,7 @@ struct NetworkResult {
   double elapsed_s = 0.0;
   std::uint64_t requests = 0;
   std::uint64_t ok = 0;
-  std::uint64_t shed = 0;             ///< engine kShed or HTTP 503
+  std::uint64_t shed = 0;             ///< engine kShed results
   std::uint64_t transport_errors = 0; ///< connect/send/recv failures
   double rps = 0.0;
   double shed_rate = 0.0;
@@ -286,10 +286,7 @@ NetworkResult run_network_scenario(const std::string& name,
   engine_config.max_queue = 256;
   serve::ScoringEngine engine(live.explorer(), detector, engine_config);
 
-  net::RpcConfig rpc_config;
-  rpc_config.dispatchers = 4;
-  rpc_config.queue_capacity = 512;
-  serve::RpcFrontend frontend(engine, rpc_config);
+  serve::RpcFrontend frontend(engine);
   frontend.start(0);  // ephemeral loopback port
   const std::uint16_t port = frontend.port();
 
@@ -331,8 +328,7 @@ NetworkResult run_network_scenario(const std::string& name,
       rtt_hist.record(std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - sent_at)
                           .count());
-      if (response.find(" 503 ") != std::string::npos ||
-          response.find("\"shed\"") != std::string::npos) {
+      if (response.find("\"shed\"") != std::string::npos) {
         shed.fetch_add(1, std::memory_order_relaxed);
       } else if (response.find("\"result\"") != std::string::npos) {
         ok.fetch_add(1, std::memory_order_relaxed);
@@ -384,10 +380,6 @@ NetworkResult run_network_scenario(const std::string& name,
       "parse", "service",
       net_registry.histogram("net_stage_service_us",
                              obs::label("stage", "parse"))));
-  result.stages.push_back(stage_row(
-      "dispatch", "wait",
-      net_registry.histogram("net_stage_wait_us",
-                             obs::label("stage", "dispatch"))));
   result.stages.push_back(stage_row(
       "handle", "service",
       net_registry.histogram("net_stage_service_us",

@@ -26,9 +26,10 @@
 # trajectory, the telemetry surface, and the fault-isolation contract all
 # stay machine-checked across PRs. The ASan leg runs the full suite, including
 # the fast-vs-legacy equivalence tests (test_features_fast). The TSan leg
-# adds test_stream, racing the four streaming pipeline threads against the
-# engine workers, and test_net, hammering the event loop + dispatcher pool
-# with concurrent clients.
+# adds test_stream, racing the three streaming pipeline threads against the
+# engine workers that run the coordinator's completion callbacks, and
+# test_net, hammering the event loop and its cross-thread replies with
+# concurrent clients.
 #
 #   ./ci.sh            # all three variants
 #
@@ -39,6 +40,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
+
+# Every bench/smoke schema check below is a python3 script.
+command -v python3 >/dev/null 2>&1 ||
+  { echo "ci.sh: python3 is required" >&2; exit 1; }
 
 run_variant() {
   local name="$1" sanitize="$2" ctest_args="${3:-}"
@@ -60,8 +65,7 @@ check_bench_json() {
     echo "ci.sh: ${json} missing" >&2
     exit 1
   fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${json}" <<'PY'
+  python3 - "${json}" <<'PY'
 import json, sys
 with open(sys.argv[1]) as fh:
     doc = json.load(fh)
@@ -72,12 +76,6 @@ for row in rows:
         assert key in row, f"missing {key}"
 print(f"BENCH_train.json ok: {len(rows)} rows")
 PY
-  else
-    # No python3: cheap structural check on the required keys.
-    grep -q '"results"' "${json}" && grep -q '"model"' "${json}" &&
-      grep -q '"threads"' "${json}" && grep -q '"speedup"' "${json}" ||
-      { echo "ci.sh: ${json} malformed" >&2; exit 1; }
-  fi
 }
 
 check_extract_json() {
@@ -87,8 +85,7 @@ check_extract_json() {
     echo "ci.sh: ${json} missing" >&2
     exit 1
   fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${json}" <<'PY'
+  python3 - "${json}" <<'PY'
 import json, sys
 with open(sys.argv[1]) as fh:
     doc = json.load(fh)
@@ -114,12 +111,6 @@ print(f"BENCH_extract.json ok: {len(rows)} rows, "
       f"fast path {fast['speedup_vs_legacy']:.1f}x legacy "
       f"at {fast['mb_per_s']:.0f} MB/s")
 PY
-  else
-    grep -q '"results"' "${json}" && grep -q '"path": "fast"' "${json}" &&
-      grep -q '"mb_per_s"' "${json}" &&
-      grep -q '"speedup_vs_legacy"' "${json}" ||
-      { echo "ci.sh: ${json} malformed" >&2; exit 1; }
-  fi
 }
 
 check_infer_json() {
@@ -129,8 +120,7 @@ check_infer_json() {
     echo "ci.sh: ${json} missing" >&2
     exit 1
   fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${json}" <<'PY'
+  python3 - "${json}" <<'PY'
 import json, sys
 with open(sys.argv[1]) as fh:
     doc = json.load(fh)
@@ -174,12 +164,6 @@ print(f"BENCH_infer.json ok: {len(rows)} rows over "
       f"{len({m for m, _ in seen})} models, flat >= nodewalk on all of "
       + ", ".join(sorted(checked)))
 PY
-  else
-    grep -q '"results"' "${json}" && grep -q '"rows_per_s"' "${json}" &&
-      grep -q '"path": "flat"' "${json}" &&
-      grep -q '"speedup_vs_nodewalk"' "${json}" ||
-      { echo "ci.sh: ${json} malformed" >&2; exit 1; }
-  fi
 }
 
 check_stream_json() {
@@ -189,8 +173,7 @@ check_stream_json() {
     echo "ci.sh: ${json} missing" >&2
     exit 1
   fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${json}" <<'PY'
+  python3 - "${json}" <<'PY'
 import json, math, sys
 with open(sys.argv[1]) as fh:
     doc = json.load(fh)
@@ -235,7 +218,7 @@ for required in ("steady", "mempool_burst"):
     assert required in scenarios, f"missing scenario {required}"
 # Network path: LoadGenerator-driven traffic over real loopback sockets
 # through the JSON-RPC front door, with latency attributed across the
-# client (connect/rtt), the net layer (parse/dispatch/handle) and the
+# client (connect/rtt), the net layer (parse/handle) and the
 # engine (queue/extract/predict).
 net = doc["network"]
 for key in ("scenario", "requests", "ok", "shed", "transport_errors",
@@ -248,8 +231,8 @@ assert net["transport_errors"] == 0, (
 assert math.isfinite(net["rps"]) and net["rps"] > 0, "bad network rps"
 net_stages = {s["stage"]: s for s in net["stages"]}
 for stage, kind in (("connect", "service"), ("rtt", "service"),
-                    ("parse", "service"), ("dispatch", "wait"),
-                    ("handle", "service"), ("queue", "wait"),
+                    ("parse", "service"), ("handle", "service"),
+                    ("queue", "wait"),
                     ("extract", "service"), ("predict", "service")):
     assert stage in net_stages, f"missing network stage row {stage}"
     s = net_stages[stage]
@@ -274,15 +257,6 @@ print(f"BENCH_stream.json ok: {len(rows)} scenarios, "
                   for r in rows)
       + f"; network {net['rps']:.0f} req/s over {net['requests']} requests")
 PY
-  else
-    grep -q '"scenario": "steady"' "${json}" &&
-      grep -q '"scenario": "mempool_burst"' "${json}" &&
-      grep -q '"sustained_rows_per_s"' "${json}" &&
-      grep -q '"ingest_lag_blocks"' "${json}" &&
-      grep -q '"accounting_ok": true' "${json}" &&
-      ! grep -q '"accounting_ok": false' "${json}" ||
-      { echo "ci.sh: ${json} malformed" >&2; exit 1; }
-  fi
 }
 
 check_cascade_json() {
@@ -292,8 +266,7 @@ check_cascade_json() {
     echo "ci.sh: ${json} missing" >&2
     exit 1
   fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${json}" <<'PY'
+  python3 - "${json}" <<'PY'
 import json, math, sys
 with open(sys.argv[1]) as fh:
     doc = json.load(fh)
@@ -340,14 +313,6 @@ print(f"BENCH_cascade.json ok: {len(rows)} bands, best gate-passing band "
       f"{best['speedup_vs_heavy']:.1f}x vs heavy, "
       f"{best['accuracy_delta_pp']:+.2f} pp accuracy")
 PY
-  else
-    grep -q '"bench": "cascade"' "${json}" &&
-      grep -q '"escalation_rate"' "${json}" &&
-      grep -q '"speedup_vs_heavy"' "${json}" &&
-      grep -q '"enabled": true' "${json}" &&
-      grep -q '"enabled": false' "${json}" ||
-      { echo "ci.sh: ${json} malformed" >&2; exit 1; }
-  fi
 }
 
 check_prometheus() {
@@ -357,8 +322,7 @@ check_prometheus() {
     echo "ci.sh: ${prom} missing" >&2
     exit 1
   fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${prom}" <<'PY'
+  python3 - "${prom}" <<'PY'
 import re, sys
 line_re = re.compile(
     r'^[A-Za-z_:][A-Za-z0-9_:]*(\{[^{}]*\})? (-?[0-9.eE+-]+|nan|inf)$')
@@ -383,11 +347,6 @@ for required in ("serve_requests_completed", "serve_cache_hit_rate",
     assert required in names, f"missing metric {required}"
 print(f"{sys.argv[1]} ok: {samples} samples")
 PY
-  else
-    grep -q '^serve_requests_completed' "${prom}" &&
-      grep -q 'serve_request_latency_us' "${prom}" ||
-      { echo "ci.sh: ${prom} malformed" >&2; exit 1; }
-  fi
 }
 
 check_trace() {
@@ -397,8 +356,7 @@ check_trace() {
     echo "ci.sh: ${trace} missing" >&2
     exit 1
   fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${trace}" <<'PY'
+  python3 - "${trace}" <<'PY'
 import json, sys
 from collections import defaultdict
 doc = json.load(open(sys.argv[1]))
@@ -433,10 +391,6 @@ assert connected, f"no connected request lane (lanes: {len(lanes)})"
 print(f"{sys.argv[1]} ok: {len(events)} events, {len(names)} distinct spans, "
       f"{len(lanes)} request lanes ({len(connected)} fully connected)")
 PY
-  else
-    grep -q '"traceEvents"' "${trace}" && grep -q 'serve.batch' "${trace}" ||
-      { echo "ci.sh: ${trace} malformed" >&2; exit 1; }
-  fi
 }
 
 check_chaos_smoke() {
@@ -529,9 +483,8 @@ run_scrape_smoke() {
     exit 1
   fi
 
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${dir}/scrape_metrics.prom" "${dir}/scrape_vars.json" \
-      "${dir}/scrape_healthz.json" <<'PY'
+  python3 - "${dir}/scrape_metrics.prom" "${dir}/scrape_vars.json" \
+    "${dir}/scrape_healthz.json" <<'PY'
 import json, re, sys
 line_re = re.compile(
     r'^[A-Za-z_:][A-Za-z0-9_:]*(\{[^{}]*\})? (-?[0-9.eE+-]+|nan|inf)$')
@@ -565,19 +518,13 @@ assert health.get("status") in ("running", "draining", "drained"), \
     f"unexpected health status {health.get('status')!r}"
 for key in ("submitted", "completed", "failed", "shed", "queues"):
     assert key in health, f"/healthz missing {key}"
-for queue in ("addresses", "futures"):
+for queue in ("addresses",):
     for key in ("size", "capacity", "closed"):
         assert key in health["queues"][queue], \
             f"/healthz queue {queue} missing {key}"
 print(f"scrape smoke ok: {samples} exposition samples, "
       f"health status {health['status']!r}")
 PY
-  else
-    grep -q 'stream_window_rate_per_sec' "${dir}/scrape_metrics.prom" &&
-      grep -q '"registries"' "${dir}/scrape_vars.json" &&
-      grep -q '"status"' "${dir}/scrape_healthz.json" ||
-      { echo "ci.sh: scrape smoke responses malformed" >&2; exit 1; }
-  fi
 }
 
 # JSON-RPC smoke: score_server on ephemeral ports, score a freshly mined
@@ -630,9 +577,8 @@ run_rpc_smoke() {
     exit 1
   fi
 
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${dir}/rpc_single.json" "${dir}/rpc_batch.json" \
-      "${dir}/rpc_metrics.prom" "${addr}" <<'PY'
+  python3 - "${dir}/rpc_single.json" "${dir}/rpc_batch.json" \
+    "${dir}/rpc_metrics.prom" "${addr}" <<'PY'
 import json, sys
 addr = sys.argv[4]
 
@@ -672,19 +618,12 @@ assert cascade["stages"][0]["rows"] >= 1, f"stage 0 never scored: {cascade!r}"
 text = open(sys.argv[3]).read()
 for required in ("net_requests_total", "net_responses_total",
                  "net_connections_active", "net_batch_calls_total",
-                 "net_stage_service_us", "net_stage_wait_us",
-                 "net_request_total_us"):
+                 "net_stage_service_us", "net_request_total_us"):
     assert required in text, f"missing net metric {required} in /metrics"
 print(f"rpc smoke ok: scored {addr} "
       f"(p={single['result']['probability']:.3f}, "
       f"trace {single['result']['trace_id']})")
 PY
-  else
-    grep -q '"result"' "${dir}/rpc_single.json" &&
-      grep -q '"result"' "${dir}/rpc_batch.json" &&
-      grep -q 'net_requests_total' "${dir}/rpc_metrics.prom" ||
-      { echo "ci.sh: rpc smoke responses malformed" >&2; exit 1; }
-  fi
 }
 
 run_variant release ""
@@ -714,7 +653,7 @@ check_prometheus build-ci-release/BENCH_serve_metrics.prom
   PHISHINGHOOK_TRACE=scanner_trace.json ./examples/contract_scanner)
 check_trace build-ci-release/scanner_trace.json
 # Chaos smoke: the scanner against a 10% fault-injecting explorer must exit
-# 0 (no aborted workers, no lost futures) and report per-status counts that
+# 0 (no aborted workers, no lost results) and report per-status counts that
 # account for every submission.
 (cd build-ci-release && ./examples/contract_scanner --chaos 0.10 \
   | tee chaos_smoke.out >/dev/null)
@@ -729,7 +668,7 @@ run_variant asan address
 # chaos/fault-injection suite, the cascade suite (worker-count determinism
 # and degraded-path accounting), the thread-pool unit tests, the pool-backed
 # training determinism suite, the telemetry layer, and the socket/JSON-RPC
-# front end (event loop + dispatcher pool under concurrent clients).
+# front end (event loop + cross-thread replies under concurrent clients).
 run_variant tsan thread "-R test_serve|test_serve_faults|test_cascade|test_thread_pool|test_parallel_determinism|test_obs|test_stream|test_net"
 
 # No-SIMD leg: build with PHISHINGHOOK_SIMD compiled out (and gcc's

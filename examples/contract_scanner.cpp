@@ -52,8 +52,8 @@
 #include "common/timer.hpp"
 #include "core/experiment.hpp"
 #include "ml/random_forest.hpp"
+#include "net/scrape_server.hpp"
 #include "obs/metrics.hpp"
-#include "obs/scrape_server.hpp"
 #include "obs/trace.hpp"
 #include "serve/artifact.hpp"
 #include "serve/scoring_engine.hpp"
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
 
   // Scrape endpoint over the engine's registry + the process-wide one;
   // cache stats and tracer ring health are synced per scrape by hooks.
-  obs::ScrapeServer scrape;
+  net::ScrapeServer scrape;
   if (metrics_port >= 0) {
     scrape.add_registry(engine.prometheus_registry());
     scrape.add_registry(obs::MetricsRegistry::global());

@@ -118,9 +118,7 @@ int main(int argc, char** argv) {
   engine_config.max_queue = 256;
   serve::ScoringEngine engine(live.explorer(), *detector, engine_config);
 
-  net::RpcConfig rpc_config;
-  rpc_config.dispatchers = 2;
-  serve::RpcFrontend frontend(engine, rpc_config);
+  serve::RpcFrontend frontend(engine);
   frontend.start(static_cast<std::uint16_t>(port));
 
   net::ScrapeServer scrape;

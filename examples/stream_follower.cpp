@@ -36,7 +36,7 @@
 #include "chain/fault_injection.hpp"
 #include "core/model_registry.hpp"
 #include "ml/random_forest.hpp"
-#include "obs/scrape_server.hpp"
+#include "net/scrape_server.hpp"
 #include "obs/trace.hpp"
 #include "serve/scoring_engine.hpp"
 #include "stream/coordinator.hpp"
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   // Scrape endpoint over both registries. Hooks re-evaluate the SLO window
   // and sync cache/tracer state on every pull, and /healthz exposes the
   // coordinator's live drain/queue state.
-  obs::ScrapeServer scrape;
+  net::ScrapeServer scrape;
   if (metrics_port >= 0) {
     scrape.add_registry(coordinator.registry());
     scrape.add_registry(engine.prometheus_registry());

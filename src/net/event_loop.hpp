@@ -12,9 +12,9 @@
 // Threading model: run() executes on exactly one thread (the owner spawns
 // it); add_fd/set_events/remove_fd are loop-thread-only. The two
 // cross-thread entry points are post() — enqueue a task and wake the loop
-// via eventfd — and stop(). Everything a dispatcher or completion thread
-// wants to do to a connection goes through post(), so connection state
-// needs no locks at all.
+// via eventfd — and stop(). Everything a completion thread wants to do to
+// a connection goes through post(), so connection state needs no locks at
+// all.
 //
 // fd-reuse caveat: a handler that closes fd A while fd B's event from the
 // same epoll batch is still pending can see B's number reused. Handlers

@@ -1,8 +1,11 @@
 #include "net/json_rpc_server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.hpp"
 
@@ -82,11 +85,50 @@ JsonValue make_result_response(const JsonValue& id, JsonValue result) {
   return response;
 }
 
-std::string shed_body(const std::string& why) {
-  return make_error_response(JsonValue::null(), rpc_errors::kShed, why).dump();
+/// Body of a transport-level refusal (400/405/411/413/431): the frame can
+/// never succeed as sent, so it is an Invalid Request, not a retryable shed.
+std::string refusal_body(const std::string& why) {
+  return make_error_response(JsonValue::null(), rpc_errors::kInvalidRequest,
+                             why)
+      .dump();
 }
 
 }  // namespace
+
+/// One HTTP frame from dispatch until its response is queued, shared by
+/// the loop and its Replies; its destruction takes it out of flight.
+struct JsonRpcServer::Frame {
+  /// One request object of the frame, in request order.
+  struct Call {
+    JsonValue id;
+    bool notification = false;
+    std::optional<JsonValue> response;  ///< answered in place (an error)
+    ResultThunk result;                 ///< set by the call's Reply
+  };
+
+  Frame(JsonRpcServer& owner, std::uint64_t conn, bool keep)
+      : server(&owner), conn_id(conn), keep_alive(keep) {}
+  ~Frame() {
+    // Notify under the lock: stop() may return, and the server go, as soon
+    // as it sees zero.
+    std::lock_guard<std::mutex> lock(server->frames_mutex_);
+    if (--server->frames_in_flight_ == 0) server->frames_cv_.notify_all();
+  }
+
+  JsonRpcServer* server;
+  std::uint64_t conn_id;
+  bool keep_alive;
+  bool batch = false;  ///< answered with an array
+  obs::RequestContext ctx;
+  std::vector<Call> calls;  ///< sized before any handler runs
+  /// Outstanding replies, plus a guard the loop holds while dispatching.
+  std::atomic<std::size_t> pending{1};
+};
+
+void JsonRpcServer::Reply::operator()(ResultThunk result) const {
+  frame_->calls[call_].result = std::move(result);
+  frame_->server->release(frame_);
+}
 
 JsonRpcServer::JsonRpcServer(RpcConfig config)
     : SocketServer(SocketServerConfig{
@@ -97,18 +139,13 @@ JsonRpcServer::JsonRpcServer(RpcConfig config)
       config_(config) {
   registry_.set_help("net_requests_total",
                      "HTTP frames received by the JSON-RPC server");
-  registry_.set_help("net_requests_shed",
-                     "Frames dropped by queue admission or dispatch deadline");
   registry_.set_help("net_requests_malformed",
                      "HTTP or JSON-RPC protocol violations answered with "
                      "an error");
-  registry_.set_help("net_stage_wait_us",
-                     "Queue-wait per network stage (parked, no work "
-                     "happening)");
   registry_.set_help("net_stage_service_us",
                      "Service time per network stage (parse, handle)");
   registry_.set_help("net_request_total_us",
-                     "Frame completion to response build, JSON-RPC layer");
+                     "Frame completion to last reply, JSON-RPC layer");
 }
 
 JsonRpcServer::~JsonRpcServer() { stop(); }
@@ -119,38 +156,30 @@ void JsonRpcServer::register_method(std::string method, Handler handler) {
 
 void JsonRpcServer::start(std::uint16_t port) {
   SocketServer::start(port);
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_closed_ = false;
-  }
-  const std::size_t n = config_.dispatchers == 0 ? 1 : config_.dispatchers;
-  dispatchers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    dispatchers_.emplace_back([this] { dispatcher_loop(); });
-  }
+  std::lock_guard<std::mutex> lock(frames_mutex_);
+  stopping_ = false;
 }
 
 void JsonRpcServer::stop() {
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_closed_ = true;
+    // In-flight frames finish while the loop still runs, so their
+    // responses reach their sockets; new frames stay unread.
+    std::unique_lock<std::mutex> lock(frames_mutex_);
+    stopping_ = true;
+    frames_cv_.wait(lock, [this] { return frames_in_flight_ == 0; });
   }
-  queue_cv_.notify_all();
-  // Dispatchers drain what is queued — the loop is still alive, so those
-  // responses reach their sockets — then exit.
-  for (std::thread& dispatcher : dispatchers_) {
-    if (dispatcher.joinable()) dispatcher.join();
-  }
-  dispatchers_.clear();
   SocketServer::stop();
+}
+
+std::size_t JsonRpcServer::frames_in_flight() const {
+  std::lock_guard<std::mutex> lock(frames_mutex_);
+  return frames_in_flight_;
 }
 
 void JsonRpcServer::export_metrics() {
   active_connections_.set(static_cast<double>(connections()));
   accepted_gauge_.set(static_cast<double>(connections_accepted()));
   rejected_gauge_.set(static_cast<double>(connections_rejected()));
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  queue_depth_.set(static_cast<double>(queue_.size()));
 }
 
 void JsonRpcServer::on_open(Connection& conn) {
@@ -163,7 +192,7 @@ void JsonRpcServer::on_overflow(Connection& conn) {
   malformed_.inc();
   conn.in.clear();
   respond_http(conn, 413, "Payload Too Large",
-               shed_body("request body exceeds server limit"), false);
+               refusal_body("request body exceeds server limit"), false);
 }
 
 void JsonRpcServer::process_input(Connection& conn) {
@@ -178,7 +207,7 @@ void JsonRpcServer::process_input(Connection& conn) {
     if (conn.in.size() > kMaxHeadBytes) {
       malformed_.inc();
       respond_http(conn, 431, "Request Header Fields Too Large",
-                   shed_body("request head too large"), false);
+                   refusal_body("request head too large"), false);
     }
     return;  // head still arriving
   }
@@ -187,8 +216,8 @@ void JsonRpcServer::process_input(Connection& conn) {
   const std::size_t method_end = conn.in.find(' ');
   if (method_end == std::string::npos || method_end > head_end) {
     malformed_.inc();
-    respond_http(conn, 400, "Bad Request", shed_body("malformed request line"),
-                 false);
+    respond_http(conn, 400, "Bad Request",
+                 refusal_body("malformed request line"), false);
     return;
   }
   const std::string method = conn.in.substr(0, method_end);
@@ -204,7 +233,7 @@ void JsonRpcServer::process_input(Connection& conn) {
   if (method != "POST") {
     malformed_.inc();
     respond_http(conn, 405, "Method Not Allowed",
-                 shed_body("JSON-RPC requires POST"), false);
+                 refusal_body("JSON-RPC requires POST"), false);
     return;
   }
   const std::string length_header =
@@ -212,15 +241,15 @@ void JsonRpcServer::process_input(Connection& conn) {
   if (length_header.empty()) {
     malformed_.inc();
     respond_http(conn, 411, "Length Required",
-                 shed_body("Content-Length required"), false);
+                 refusal_body("Content-Length required"), false);
     return;
   }
   std::size_t content_length = 0;
   for (const char c : length_header) {
     if (c < '0' || c > '9') {
       malformed_.inc();
-      respond_http(conn, 400, "Bad Request", shed_body("bad Content-Length"),
-                   false);
+      respond_http(conn, 400, "Bad Request",
+                   refusal_body("bad Content-Length"), false);
       return;
     }
     content_length = content_length * 10 + static_cast<std::size_t>(c - '0');
@@ -229,49 +258,36 @@ void JsonRpcServer::process_input(Connection& conn) {
   if (content_length > config_.max_body_bytes) {
     malformed_.inc();
     respond_http(conn, 413, "Payload Too Large",
-                 shed_body("request body exceeds server limit"), false);
+                 refusal_body("request body exceeds server limit"), false);
     return;
   }
   const std::size_t frame_size = head_end + 4 + content_length;
   if (conn.in.size() < frame_size) return;  // body still arriving
 
-  PendingCall call;
-  call.conn_id = conn.id;
-  call.body = conn.in.substr(head_end + 4, content_length);
-  call.keep_alive = keep_alive;
-  conn.in.erase(0, frame_size);
+  {
+    std::lock_guard<std::mutex> lock(frames_mutex_);
+    if (stopping_) return;  // stop() closes the connection, frame unread
+    ++frames_in_flight_;
+  }
+  auto frame = std::make_shared<Frame>(*this, conn.id, keep_alive);
+  state->busy = true;
 
   // The frame is complete: give the request its causal identity and
   // attribute the receive span (first byte -> frame complete) as the
   // "parse" stage on its lane.
-  call.ctx = obs::mint_request(tracer);
+  frame->ctx = obs::mint_request(tracer);
   const double now = tracer.now_us();
   parse_us_.record(now - state->first_byte_us);
-  obs::stage_slice(call.ctx, "net.parse", state->first_byte_us, now, tracer);
-  call.ctx.handoff_us = now;
+  obs::stage_slice(frame->ctx, "net.parse", state->first_byte_us, now,
+                   tracer);
+  frame->ctx.handoff_us = now;
   state->first_byte_us = 0;
   requests_total_.inc();
 
-  bool admitted = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!queue_closed_ && queue_.size() < config_.queue_capacity) {
-      state->busy = true;
-      queue_.push_back(std::move(call));
-      admitted = true;
-    }
-  }
-  if (!admitted) {
-    // Admission control at the socket: the dispatch queue is the
-    // net-layer's max_queue, and a full one answers shed immediately
-    // instead of growing an unbounded backlog.
-    shed_.inc();
-    obs::finish_request(call.ctx, tracer);
-    respond_http(conn, 503, "Service Unavailable",
-                 shed_body("request shed: dispatch queue full"), keep_alive);
-    return;
-  }
-  queue_cv_.notify_one();
+  // Handlers never touch the connection, so the body is parsed in place.
+  dispatch(frame, std::string_view(conn.in).substr(head_end + 4,
+                                                   content_length));
+  conn.in.erase(0, frame_size);
 }
 
 void JsonRpcServer::respond_http(Connection& conn, int status,
@@ -305,152 +321,137 @@ void JsonRpcServer::respond_http(Connection& conn, int status,
   }
 }
 
-void JsonRpcServer::post_response(std::uint64_t conn_id, int status,
-                                  std::string body, bool keep_alive) {
-  const char* reason = status == 200   ? "OK"
-                       : status == 204 ? "No Content"
-                       : status == 503 ? "Service Unavailable"
-                                       : "Error";
-  with_connection(conn_id, [this, status, reason, body = std::move(body),
-                            keep_alive](Connection& conn) {
-    respond_http(conn, status, reason, body, keep_alive);
-  });
-}
-
-void JsonRpcServer::dispatcher_loop() {
-  obs::Tracer& tracer = obs::Tracer::global();
-  while (true) {
-    PendingCall call;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return queue_closed_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // closed and drained
-      call = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    const double picked_up = tracer.now_us();
-    dispatch_wait_us_.record(call.ctx.wait_us(picked_up));
-    obs::stage_slice(call.ctx, "net.dispatch", call.ctx.handoff_us, picked_up,
-                     tracer);
-
-    if (config_.request_deadline_us > 0 &&
-        picked_up - call.ctx.born_us >
-            static_cast<double>(config_.request_deadline_us)) {
-      // Too old to be worth scoring — the socket-layer twin of the
-      // engine's deadline shed: drop before any model work is spent.
-      shed_.inc();
-      request_total_us_.record(picked_up - call.ctx.born_us);
-      obs::finish_request(call.ctx, tracer);
-      post_response(call.conn_id, 503,
-                    shed_body("request shed: deadline exceeded before "
-                              "dispatch"),
-                    call.keep_alive);
-      continue;
-    }
-
-    const std::string response_body = handle_frame(call);
-    const double done = tracer.now_us();
-    handle_us_.record(done - picked_up);
-    obs::stage_slice(call.ctx, "net.handle", picked_up, done, tracer);
-    request_total_us_.record(done - call.ctx.born_us);
-    obs::finish_request(call.ctx, tracer);
-    post_response(call.conn_id, response_body.empty() ? 204 : 200,
-                  response_body, call.keep_alive);
-  }
-}
-
-std::string JsonRpcServer::handle_frame(PendingCall& call) {
-  std::string parse_error;
-  std::optional<JsonValue> doc = JsonValue::parse(call.body, &parse_error);
-  if (!doc) {
+void JsonRpcServer::dispatch(const std::shared_ptr<Frame>& frame,
+                             std::string_view body) {
+  const auto refuse = [&](int code, const std::string& message) {
     malformed_.inc();
-    return make_error_response(JsonValue::null(), rpc_errors::kParseError,
-                               "parse error: " + parse_error)
-        .dump();
-  }
-  const CallInfo info{call.ctx};
-  if (doc->is_array()) {
+    frame->calls.resize(1);
+    frame->calls[0].response =
+        make_error_response(JsonValue::null(), code, message);
+  };
+  std::string parse_error;
+  const std::optional<JsonValue> doc = JsonValue::parse(body, &parse_error);
+  if (!doc) {
+    refuse(rpc_errors::kParseError, "parse error: " + parse_error);
+  } else if (!doc->is_array()) {
+    frame->calls.resize(1);
+    call_method(frame, 0, *doc);
+  } else {
     batch_calls_.inc();
     const JsonValue::Array& batch = doc->as_array();
     if (batch.empty()) {
-      malformed_.inc();
-      return make_error_response(JsonValue::null(), rpc_errors::kInvalidRequest,
-                                 "empty batch")
-          .dump();
+      refuse(rpc_errors::kInvalidRequest, "empty batch");
+    } else if (batch.size() > config_.max_batch) {
+      refuse(rpc_errors::kInvalidRequest,
+             "batch larger than " + std::to_string(config_.max_batch));
+    } else {
+      frame->batch = true;
+      frame->calls.resize(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        call_method(frame, i, batch[i]);
+      }
     }
-    if (batch.size() > config_.max_batch) {
-      malformed_.inc();
-      return make_error_response(
-                 JsonValue::null(), rpc_errors::kInvalidRequest,
-                 "batch larger than " + std::to_string(config_.max_batch))
-          .dump();
-    }
-    JsonValue responses = JsonValue::array();
-    for (const JsonValue& request : batch) {
-      std::optional<JsonValue> response = handle_request(request, info);
-      if (response) responses.push_back(std::move(*response));
-    }
-    // All-notification batches get no body at all (spec: the server MUST
-    // NOT return an empty array).
-    return responses.as_array().empty() ? std::string() : responses.dump();
   }
-  std::optional<JsonValue> response = handle_request(*doc, info);
-  return response ? response->dump() : std::string();
+  release(frame);  // the dispatch guard
 }
 
-std::optional<JsonValue> JsonRpcServer::handle_request(
-    const JsonValue& request, const CallInfo& info) {
+void JsonRpcServer::call_method(const std::shared_ptr<Frame>& frame,
+                                std::size_t index, const JsonValue& request) {
+  Frame::Call& call = frame->calls[index];
+  // Notifications get no answer, errors included.
+  const auto fail = [&](int code, const std::string& message, bool malformed) {
+    if (malformed) malformed_.inc();
+    if (!call.notification) {
+      call.response = make_error_response(call.id, code, message);
+    }
+  };
   if (!request.is_object()) {
-    malformed_.inc();
-    return make_error_response(JsonValue::null(), rpc_errors::kInvalidRequest,
-                               "request must be an object");
+    return fail(rpc_errors::kInvalidRequest, "request must be an object",
+                true);
   }
   const JsonValue* id_member = request.find("id");
-  const bool notification = id_member == nullptr;
-  const JsonValue id = notification ? JsonValue::null() : *id_member;
-
+  call.notification = id_member == nullptr;
+  if (!call.notification) call.id = *id_member;
   const JsonValue* version = request.find("jsonrpc");
   if (version == nullptr || !version->is_string() ||
       version->as_string() != "2.0") {
-    malformed_.inc();
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kInvalidRequest,
-                               "jsonrpc must be \"2.0\"");
+    return fail(rpc_errors::kInvalidRequest, "jsonrpc must be \"2.0\"", true);
   }
   const JsonValue* method = request.find("method");
   if (method == nullptr || !method->is_string()) {
-    malformed_.inc();
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kInvalidRequest,
-                               "method must be a string");
+    return fail(rpc_errors::kInvalidRequest, "method must be a string", true);
   }
   const auto handler = methods_.find(method->as_string());
   if (handler == methods_.end()) {
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kMethodNotFound,
-                               "method not found: " + method->as_string());
+    return fail(rpc_errors::kMethodNotFound,
+                "method not found: " + method->as_string(), false);
   }
+  static const JsonValue kNoParams;
   const JsonValue* params_member = request.find("params");
-  JsonValue params = params_member == nullptr ? JsonValue::null()
-                                              : *params_member;
+  const JsonValue& params =
+      params_member == nullptr ? kNoParams : *params_member;
   if (!params.is_null() && !params.is_array() && !params.is_object()) {
-    malformed_.inc();
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kInvalidParams,
-                               "params must be array or object");
+    return fail(rpc_errors::kInvalidParams, "params must be array or object",
+                true);
   }
+  frame->pending.fetch_add(1, std::memory_order_relaxed);
   try {
-    JsonValue result = handler->second(params, info);
-    if (notification) return std::nullopt;
-    return make_result_response(id, std::move(result));
+    handler->second(params, CallInfo{frame->ctx}, Reply(frame, index));
   } catch (const RpcError& error) {
-    if (notification) return std::nullopt;
-    return make_error_response(id, error.code(), error.what());
+    fail(error.code(), error.what(), false);
+    release(frame);
   } catch (const std::exception& error) {
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kInternalError,
-                               std::string("internal error: ") + error.what());
+    fail(rpc_errors::kInternalError,
+         std::string("internal error: ") + error.what(), false);
+    release(frame);
   }
+}
+
+void JsonRpcServer::release(const std::shared_ptr<Frame>& frame) {
+  if (frame->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  obs::Tracer& tracer = obs::Tracer::global();
+  const double done = tracer.now_us();
+  handle_us_.record(done - frame->ctx.handoff_us);
+  obs::stage_slice(frame->ctx, "net.handle", frame->ctx.handoff_us, done,
+                   tracer);
+  request_total_us_.record(done - frame->ctx.born_us);
+  obs::finish_request(frame->ctx, tracer);
+  // Dropped if the client hung up meanwhile; the frame dies with the task.
+  with_connection(frame->conn_id, [this, frame](Connection& conn) {
+    respond_frame(conn, *frame);
+  });
+}
+
+void JsonRpcServer::respond_frame(Connection& conn, Frame& frame) {
+  JsonValue responses = JsonValue::array();
+  for (Frame::Call& call : frame.calls) {
+    if (call.notification) continue;
+    if (!call.response) {
+      try {
+        call.response = make_result_response(call.id, call.result());
+      } catch (const RpcError& error) {
+        call.response =
+            make_error_response(call.id, error.code(), error.what());
+      } catch (const std::exception& error) {
+        call.response = make_error_response(
+            call.id, rpc_errors::kInternalError,
+            std::string("internal error: ") + error.what());
+      }
+    }
+    responses.push_back(std::move(*call.response));
+  }
+  // The thunks may own handler state that holds a Reply to this frame;
+  // dropping them now keeps a frame from ever owning itself.
+  frame.calls.clear();
+  // All-notification frames get no body at all (spec: the server MUST NOT
+  // return an empty array).
+  if (responses.as_array().empty()) {
+    respond_http(conn, 204, "No Content", {}, frame.keep_alive);
+    return;
+  }
+  respond_http(conn, 200, "OK",
+               frame.batch ? responses.dump() : responses.as_array()[0].dump(),
+               frame.keep_alive);
 }
 
 }  // namespace phishinghook::net

@@ -8,47 +8,35 @@
 //   curl -s -X POST http://127.0.0.1:9545/ -d '{"jsonrpc":"2.0","id":1,
 //       "method":"phook_score","params":["0x1234...40 hex..."]}'
 //
-// Division of labor across threads:
+// Everything protocol-side runs on the loop thread: parse the HTTP frame
+// and its JSON-RPC document, mint the request's causal identity
+// (obs::RequestContext), call the method handler. A handler never blocks:
+// it throws RpcError, or calls its Reply exactly once — now or later, from
+// any thread — with a thunk that builds the result. The last reply of a
+// frame posts one task onto the loop, which runs the thunks in request
+// order, encodes the body and writes it; no worker ever encodes JSON.
 //
-//   loop thread        accept, buffer, parse HTTP frames (head + body,
-//                      Content-Length), mint the request's causal
-//                      identity (obs::RequestContext — the same trace-id
-//                      lane machinery every in-process request gets),
-//                      enqueue onto the dispatch queue, write responses
-//   dispatcher threads pop frames, parse JSON-RPC, run the registered
-//                      method handler (which may block on a scoring
-//                      future — that is what the threads are for), post
-//                      the response back onto the loop
+// This layer sheds nothing itself: a connection has one frame in flight,
+// max_connections caps the connections, and the engine's max_queue and
+// deadline shed scoring work as results whose status says "shed".
+// Malformed frames and per-stage latency land in the net_* registry.
 //
-// Overload and deadlines map onto the engine's shed vocabulary: a full
-// dispatch queue answers 503/-32005 immediately (admission control at the
-// socket, mirroring EngineConfig::max_queue), and a frame older than
-// request_deadline_us when a dispatcher picks it up is shed without
-// touching the engine (mirroring EngineConfig::deadline_us). Sheds,
-// malformed frames, and per-stage latency all land in the server's own
-// net_* registry, scrapable next to the engine's serve_* series.
-//
-// Transport rules: POST only (405 otherwise), Content-Length required
-// (411), bodies over max_body_bytes refused (413), HTTP/1.1 keep-alive
-// honored with at most one in-flight request per connection (responses
-// are posted asynchronously; ordering two pipelined responses would
-// require sequencing the dispatchers — refusing to read ahead is simpler
-// and loses nothing at scoring-request sizes). JSON-RPC batches work,
-// including mixed valid/invalid entries and notification elision, capped
-// at max_batch entries.
+// Transport rules: POST only (405), Content-Length required (411), bodies
+// over max_body_bytes (413) and heads over 16 KiB (431) refused; each
+// refusal carries -32600 (Invalid Request), never the retryable -32005.
+// HTTP/1.1 keep-alive is honored. JSON-RPC batches work, including mixed
+// valid/invalid entries and notification elision, capped at max_batch.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "net/json.hpp"
 #include "net/socket_server.hpp"
@@ -65,8 +53,8 @@ struct rpc_errors {
   static constexpr int kMethodNotFound = -32601;
   static constexpr int kInvalidParams = -32602;
   static constexpr int kInternalError = -32603;
-  /// Request shed by admission control or deadline — the socket-layer
-  /// twin of serve::ScoreStatus::kShed.
+  /// The scoring engine is shutting down and admits no more work; the
+  /// only meaning of this code.
   static constexpr int kShed = -32005;
 };
 
@@ -85,32 +73,44 @@ struct RpcConfig {
   std::size_t max_connections = 128;
   /// HTTP body cap; Content-Length above this is refused with 413.
   std::size_t max_body_bytes = 1 << 20;
-  /// Threads running method handlers (each may block on one scoring
-  /// future at a time).
-  std::size_t dispatchers = 2;
-  /// Dispatch-queue admission cap; a full queue sheds with 503/-32005.
-  std::size_t queue_capacity = 256;
-  /// Frames older than this when a dispatcher picks them up are shed
-  /// before any handler work. 0 = no deadline.
-  std::uint64_t request_deadline_us = 0;
   /// Entries allowed in one JSON-RPC batch array.
   std::size_t max_batch = 64;
   std::uint64_t idle_timeout_ms = 30000;
 };
 
 class JsonRpcServer : public SocketServer {
+  struct Frame;
+
  public:
   /// Everything a handler may want beyond its params: the request's
-  /// causal identity (pass it into ScoringEngine::submit to keep the
+  /// causal identity (pass it into ScoringEngine admission to keep the
   /// socket request one connected trace lane).
   struct CallInfo {
     obs::RequestContext ctx;
   };
 
-  /// Runs on a dispatcher thread; may block. Return the JSON-RPC result
-  /// value; throw RpcError for protocol-visible failures.
-  using Handler =
-      std::function<JsonValue(const JsonValue& params, const CallInfo& call)>;
+  /// Builds one call's JSON-RPC result on the loop thread; may throw
+  /// RpcError for a protocol-visible failure.
+  using ResultThunk = std::function<JsonValue()>;
+
+  /// Completes one call: call exactly once, from any thread, then drop it
+  /// (stop() waits until every copy is gone).
+  class Reply {
+   public:
+    void operator()(ResultThunk result) const;
+
+   private:
+    friend class JsonRpcServer;
+    Reply(std::shared_ptr<Frame> frame, std::size_t call)
+        : frame_(std::move(frame)), call_(call) {}
+    std::shared_ptr<Frame> frame_;
+    std::size_t call_ = 0;
+  };
+
+  /// Runs on the loop thread and must not block: throw RpcError, or call
+  /// `reply` exactly once (now or later, from any thread).
+  using Handler = std::function<void(const JsonValue& params,
+                                     const CallInfo& call, Reply reply)>;
 
   explicit JsonRpcServer(RpcConfig config = {});
   ~JsonRpcServer() override;
@@ -118,11 +118,11 @@ class JsonRpcServer : public SocketServer {
   /// Registers `method`; call before start(). Re-registering replaces.
   void register_method(std::string method, Handler handler);
 
-  /// Binds + starts the loop thread and the dispatcher pool.
+  /// Binds + starts the loop thread.
   void start(std::uint16_t port);
 
-  /// Drains the dispatch queue (in-flight handlers finish and their
-  /// responses flush), joins dispatchers, then stops the loop. Idempotent.
+  /// Stops reading new frames, waits until none is in flight, then stops
+  /// the loop. Idempotent.
   void stop();
 
   /// The server's net_* metrics (counters, gauges, stage histograms).
@@ -131,13 +131,17 @@ class JsonRpcServer : public SocketServer {
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
   obs::MetricsRegistry& metrics_registry() { return registry_; }
 
-  /// Syncs pull-model gauges (active connections, queue depth) into the
-  /// registry — wire as a scrape-server pre-scrape hook.
+  /// Syncs pull-model gauges (connection counts) into the registry — wire
+  /// as a scrape-server pre-scrape hook.
   void export_metrics();
 
   std::uint64_t requests_received() const {
     return requests_total_.value();
   }
+
+  /// Live frames: parsed, with a reply outstanding or held or the response
+  /// not yet queued. Zero once traffic settles.
+  std::size_t frames_in_flight() const;
 
  protected:
   void on_data(Connection& conn) override;
@@ -145,14 +149,6 @@ class JsonRpcServer : public SocketServer {
   void on_overflow(Connection& conn) override;
 
  private:
-  /// One parsed HTTP frame awaiting a dispatcher.
-  struct PendingCall {
-    std::uint64_t conn_id = 0;
-    std::string body;
-    bool keep_alive = true;
-    obs::RequestContext ctx;
-  };
-
   /// Per-connection HTTP state, hung off Connection::user.
   struct HttpState {
     bool busy = false;        ///< frame in flight; don't read ahead
@@ -164,42 +160,34 @@ class JsonRpcServer : public SocketServer {
   /// the connection. Loop thread.
   void respond_http(Connection& conn, int status, const char* reason,
                     const std::string& body, bool keep_alive);
-  /// Thread-safe: builds + posts the HTTP response for a dispatched frame.
-  void post_response(std::uint64_t conn_id, int status, std::string body,
-                     bool keep_alive);
-
-  void dispatcher_loop();
-  /// Full JSON-RPC handling of one frame body; returns the HTTP response
-  /// body ("" = 204-style all-notification batch).
-  std::string handle_frame(PendingCall& call);
-  /// One request object out of a frame (single or batch element);
-  /// returns nullopt for notifications.
-  std::optional<JsonValue> handle_request(const JsonValue& request,
-                                          const CallInfo& info);
+  /// Decodes a complete frame's JSON-RPC document, calls its handlers.
+  void dispatch(const std::shared_ptr<Frame>& frame, std::string_view body);
+  /// Validates one request object and calls its handler.
+  void call_method(const std::shared_ptr<Frame>& frame, std::size_t index,
+                   const JsonValue& request);
+  /// Drops one outstanding reply; the last posts the response.
+  void release(const std::shared_ptr<Frame>& frame);
+  /// Runs the thunks, encodes and sends the body. Loop thread.
+  void respond_frame(Connection& conn, Frame& frame);
 
   RpcConfig config_;
   std::unordered_map<std::string, Handler> methods_;
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingCall> queue_;
-  bool queue_closed_ = false;
-  std::vector<std::thread> dispatchers_;
+  mutable std::mutex frames_mutex_;
+  std::condition_variable frames_cv_;
+  std::size_t frames_in_flight_ = 0;  ///< guarded by frames_mutex_
+  bool stopping_ = false;             ///< guarded by frames_mutex_
 
   obs::MetricsRegistry registry_;
   obs::Counter requests_total_ = registry_.counter("net_requests_total");
   obs::Counter responses_total_ = registry_.counter("net_responses_total");
   obs::Counter malformed_ = registry_.counter("net_requests_malformed");
-  obs::Counter shed_ = registry_.counter("net_requests_shed");
   obs::Counter batch_calls_ = registry_.counter("net_batch_calls_total");
   obs::Gauge active_connections_ = registry_.gauge("net_connections_active");
   obs::Gauge accepted_gauge_ = registry_.gauge("net_connections_accepted");
   obs::Gauge rejected_gauge_ = registry_.gauge("net_connections_rejected");
-  obs::Gauge queue_depth_ = registry_.gauge("net_dispatch_queue_depth");
   obs::LatencyHistogram& parse_us_ =
       registry_.histogram("net_stage_service_us", obs::label("stage", "parse"));
-  obs::LatencyHistogram& dispatch_wait_us_ = registry_.histogram(
-      "net_stage_wait_us", obs::label("stage", "dispatch"));
   obs::LatencyHistogram& handle_us_ = registry_.histogram(
       "net_stage_service_us", obs::label("stage", "handle"));
   obs::LatencyHistogram& request_total_us_ =

@@ -14,8 +14,8 @@
 // Protocol subclasses implement on_data(conn) — inspect conn.in, consume
 // complete frames, queue responses with send_data() — and run entirely on
 // the loop thread, so connection state needs no locking. Work finished on
-// *other* threads (a dispatcher resolving a scoring future) re-enters via
-// with_connection(id, fn), which posts onto the loop and silently drops
+// *other* threads (an engine worker replying to a scoring call) re-enters
+// via with_connection(id, fn), which posts onto the loop and silently drops
 // when the connection died in the meantime — the generation-free id (never
 // reused within a server) makes that race benign.
 //
@@ -118,8 +118,8 @@ class SocketServer {
   void close_now(Connection& conn);
 
   /// Runs `fn(conn)` on the loop thread if connection `id` is still alive;
-  /// drops silently otherwise. Thread-safe — the hand-back path for
-  /// dispatcher/completion threads.
+  /// drops silently otherwise. Thread-safe — the hand-back path for work
+  /// completed on other threads.
   void with_connection(std::uint64_t id, std::function<void(Connection&)> fn);
 
   /// Extra per-tick work on the loop thread (deadline sweeps beyond the

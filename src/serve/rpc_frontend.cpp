@@ -1,7 +1,9 @@
 #include "serve/rpc_frontend.hpp"
 
+#include <atomic>
 #include <cstddef>
-#include <future>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -15,6 +17,8 @@ namespace {
 using net::JsonValue;
 using net::RpcError;
 using net::rpc_errors;
+using CallInfo = net::JsonRpcServer::CallInfo;
+using Reply = net::JsonRpcServer::Reply;
 
 /// One params entry -> Address, or the RpcError the caller should throw.
 std::optional<evm::Address> parse_address(const JsonValue& value,
@@ -67,23 +71,13 @@ JsonValue invalid_address_object(const JsonValue& entry,
 
 RpcFrontend::RpcFrontend(ScoringEngine& engine, net::RpcConfig config)
     : engine_(engine), server_(config) {
+  server_.register_method("phook_score",
+                          std::bind_front(&RpcFrontend::score, this));
+  server_.register_method("phook_scoreBatch",
+                          std::bind_front(&RpcFrontend::score_batch, this));
   server_.register_method(
-      "phook_score",
-      [this](const JsonValue& params,
-             const net::JsonRpcServer::CallInfo& call) {
-        return score(params, call);
-      });
-  server_.register_method(
-      "phook_scoreBatch",
-      [this](const JsonValue& params,
-             const net::JsonRpcServer::CallInfo& call) {
-        return score_batch(params, call);
-      });
-  server_.register_method(
-      "phook_health",
-      [this](const JsonValue& params,
-             const net::JsonRpcServer::CallInfo& call) {
-        return health(params, call);
+      "phook_health", [this](const JsonValue&, const CallInfo&, Reply reply) {
+        reply([this] { return health(); });
       });
 }
 
@@ -91,8 +85,8 @@ void RpcFrontend::start(std::uint16_t port) { server_.start(port); }
 
 void RpcFrontend::stop() { server_.stop(); }
 
-JsonValue RpcFrontend::score(const JsonValue& params,
-                             const net::JsonRpcServer::CallInfo& call) {
+void RpcFrontend::score(const JsonValue& params, const CallInfo& call,
+                        Reply reply) {
   if (!params.is_array() || params.as_array().size() != 1) {
     throw RpcError(rpc_errors::kInvalidParams,
                    "expected params [\"0x<40 hex>\"]");
@@ -105,16 +99,19 @@ JsonValue RpcFrontend::score(const JsonValue& params,
   // Continue the socket request's causal lane into the engine: its queue
   // wait and extract/predict spans join the same trace id the net layer
   // opened at frame completion.
-  std::optional<std::future<ScoreResult>> future =
-      engine_.try_submit(*address, call.ctx);
-  if (!future) {
+  if (!engine_.try_submit_many(
+          {&*address, 1}, call.ctx,
+          [reply = std::move(reply)](std::size_t, ScoreResult result) {
+            reply([result = std::move(result)] {
+              return result_object(result);
+            });
+          })) {
     throw RpcError(rpc_errors::kShed, "scoring engine is shutting down");
   }
-  return result_object(future->get());
 }
 
-JsonValue RpcFrontend::score_batch(const JsonValue& params,
-                                   const net::JsonRpcServer::CallInfo& call) {
+void RpcFrontend::score_batch(const JsonValue& params, const CallInfo& call,
+                              Reply reply) {
   if (!params.is_array() || params.as_array().size() != 1 ||
       !params.as_array()[0].is_array()) {
     throw RpcError(rpc_errors::kInvalidParams,
@@ -122,42 +119,56 @@ JsonValue RpcFrontend::score_batch(const JsonValue& params,
   }
   const JsonValue::Array& entries = params.as_array()[0].as_array();
 
-  // Admit every valid address as one engine wave before waiting on
-  // anything, so the rows fill whole batches; invalid entries answer in
-  // place, and the response keeps request order.
+  // Each row fills its own slot on the worker that finished it, and the
+  // last one to land replies. Invalid entries answer in place (a null
+  // entry marks a scored row), so the response keeps request order.
+  struct Batch {
+    std::vector<JsonValue> invalid;
+    std::vector<ScoreResult> scored;
+    std::atomic<std::size_t> pending{1};  ///< rows out, plus the admission
+    std::optional<Reply> reply;
+  };
+  auto batch = std::make_shared<Batch>();
   std::vector<evm::Address> addresses;
-  std::vector<std::optional<JsonValue>> invalid;
-  addresses.reserve(entries.size());
-  invalid.reserve(entries.size());
   for (const JsonValue& entry : entries) {
     std::string why;
-    if (const std::optional<evm::Address> address =
-            parse_address(entry, &why)) {
-      addresses.push_back(*address);
-      invalid.emplace_back();
-    } else {
-      invalid.push_back(invalid_address_object(entry, why));
-    }
+    const std::optional<evm::Address> address = parse_address(entry, &why);
+    if (address) addresses.push_back(*address);
+    batch->invalid.push_back(address ? JsonValue::null()
+                                     : invalid_address_object(entry, why));
   }
-  std::optional<std::vector<std::future<ScoreResult>>> futures =
-      engine_.try_submit_many(addresses, call.ctx);
-  if (!futures) {
+  batch->scored.resize(addresses.size());
+  batch->pending += addresses.size();
+  batch->reply = std::move(reply);
+
+  const auto land = [](const std::shared_ptr<Batch>& state) {
+    if (--state->pending != 0) return;
+    // Take the reply out before calling it: the thunk owns the state, and a
+    // state that kept the reply would own its own frame.
+    const Reply last = std::move(*state->reply);
+    state->reply.reset();
+    last([state] {
+      JsonValue results = JsonValue::array();
+      std::size_t next = 0;
+      for (JsonValue& entry : state->invalid) {
+        results.push_back(entry.is_null() ? result_object(state->scored[next++])
+                                          : std::move(entry));
+      }
+      return results;
+    });
+  };
+  if (!engine_.try_submit_many(
+          addresses, call.ctx,
+          [batch, land](std::size_t index, ScoreResult result) {
+            batch->scored[index] = std::move(result);
+            land(batch);
+          })) {
     throw RpcError(rpc_errors::kShed, "scoring engine is shutting down");
   }
-
-  JsonValue results = JsonValue::array();
-  std::size_t next = 0;
-  for (std::optional<JsonValue>& entry : invalid) {
-    results.push_back(entry ? std::move(*entry)
-                            : result_object((*futures)[next++].get()));
-  }
-  return results;
+  land(batch);  // admission done; a list with no valid entry replies here
 }
 
-JsonValue RpcFrontend::health(const JsonValue& params,
-                              const net::JsonRpcServer::CallInfo& call) {
-  (void)params;
-  (void)call;
+JsonValue RpcFrontend::health() {
   const ServiceMetrics& m = engine_.metrics();
   const CacheStats cache = engine_.cache_stats();
 

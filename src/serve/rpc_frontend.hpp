@@ -8,26 +8,28 @@
 //                    cascade stage + model attribution, latency
 //                    attribution, trace_id)
 //   phook_scoreBatch params [["0x..", "0x..", ...]] — the valid entries
-//                    are admitted as one engine wave (try_submit_many)
-//                    before any wait; bad hex entries come back in place as
-//                    status "invalid_address" without failing the rest
+//                    are admitted as one engine wave (try_submit_many);
+//                    bad hex entries come back in place as status
+//                    "invalid_address" without failing the rest
 //   phook_health     no params — engine counters + cache stats + the
 //                    net-layer's own request counts, as one JSON object;
 //                    when the engine serves a CascadeScorer, a "cascade"
 //                    section adds the band config and per-stage traffic
 //
-// The request's causal identity crosses the boundary: the socket layer
-// mints the obs::RequestContext when the HTTP frame completes, and the
-// handlers pass it into the engine's admission, so one trace id spans
-// net.parse -> net.dispatch -> engine queue -> extract -> predict in the
-// exported Perfetto trace.
+// The handlers run on the server's loop thread and never wait: the engine
+// worker that finishes a row replies (phook_score) or fills the row's slot
+// of a shared batch state, whose last row replies (phook_scoreBatch). The
+// reply thunks build the result objects back on the loop thread.
 //
-// Shed semantics: a full dispatch queue or an expired network deadline
-// never reaches these handlers (the server answers 503/-32005 itself);
-// engine-level sheds (queue-full, engine deadline) surface in the result
-// object's status field as "shed", because the request *was* answered —
-// with a definite refusal, which a wallet treats differently from a
-// transport error.
+// The request's causal identity crosses the boundary: the socket layer
+// mints the obs::RequestContext when the HTTP frame completes and the
+// handlers pass it into the engine's admission, so one trace id spans
+// net.parse -> net.handle (engine queue -> extract -> predict inside).
+//
+// Shed semantics: engine-level sheds (queue-full, engine deadline)
+// surface in the result object's status field as "shed" — a definite
+// refusal, which a wallet treats differently from a transport error. An
+// engine that is shutting down answers JSON-RPC error -32005.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +57,13 @@ class RpcFrontend {
   const net::JsonRpcServer& server() const { return server_; }
 
  private:
-  net::JsonValue score(const net::JsonValue& params,
-                       const net::JsonRpcServer::CallInfo& call);
-  net::JsonValue score_batch(const net::JsonValue& params,
-                             const net::JsonRpcServer::CallInfo& call);
-  net::JsonValue health(const net::JsonValue& params,
-                        const net::JsonRpcServer::CallInfo& call);
+  void score(const net::JsonValue& params,
+             const net::JsonRpcServer::CallInfo& call,
+             net::JsonRpcServer::Reply reply);
+  void score_batch(const net::JsonValue& params,
+                   const net::JsonRpcServer::CallInfo& call,
+                   net::JsonRpcServer::Reply reply);
+  net::JsonValue health();
 
   ScoringEngine& engine_;
   net::JsonRpcServer server_;

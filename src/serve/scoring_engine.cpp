@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <exception>
 #include <functional>
+#include <latch>
+#include <memory>
 #include <unordered_map>
 
 #include "common/errors.hpp"
@@ -73,7 +75,7 @@ void ScoringEngine::deliver(Request& request, ScoreResult result) {
   result.queue_wait_us = request.queue_wait_us;
   result.trace_id = request.ctx.trace_id;
   // Terminal stage of the causal lane: close the umbrella async slice and
-  // finish the flow arrow before the promise wakes the consumer.
+  // finish the flow arrow before the completion hands the result on.
   obs::finish_request(request.ctx);
   // Every terminal outcome records latency — failed and shed requests held
   // capacity too, and hiding them would flatter the percentiles.
@@ -97,7 +99,7 @@ void ScoringEngine::deliver(Request& request, ScoreResult result) {
       metrics_.requests_shed.inc();
       break;
   }
-  request.promise.set_value(std::move(result));
+  (*request.on_done)(request.index, std::move(result));
 }
 
 std::future<ScoreResult> ScoringEngine::submit(const evm::Address& address,
@@ -112,23 +114,28 @@ std::future<ScoreResult> ScoringEngine::submit(const evm::Address& address,
 
 std::optional<std::future<ScoreResult>> ScoringEngine::try_submit(
     const evm::Address& address, obs::RequestContext ctx) {
-  std::optional<std::vector<std::future<ScoreResult>>> wave =
-      try_submit_many({&address, 1}, std::move(ctx));
-  if (!wave.has_value()) return std::nullopt;
-  return std::move(wave->front());
+  auto promise = std::make_shared<std::promise<ScoreResult>>();
+  std::future<ScoreResult> future = promise->get_future();
+  if (!try_submit_many({&address, 1}, std::move(ctx),
+                       [promise](std::size_t, ScoreResult result) {
+                         promise->set_value(std::move(result));
+                       })) {
+    return std::nullopt;
+  }
+  return future;
 }
 
-std::optional<std::vector<std::future<ScoreResult>>>
-ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
-                               obs::RequestContext ctx) {
+bool ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
+                                    obs::RequestContext ctx,
+                                    Completion on_done) {
   obs::Tracer& tracer = obs::Tracer::global();
+  const auto done = std::make_shared<const Completion>(std::move(on_done));
   std::vector<Request> wave(addresses.size());
-  std::vector<std::future<ScoreResult>> futures;
-  futures.reserve(addresses.size());
   for (std::size_t i = 0; i < addresses.size(); ++i) {
     wave[i].address = addresses[i];
+    wave[i].on_done = done;
+    wave[i].index = i;
     wave[i].ctx = ctx.valid() ? ctx : obs::mint_request(tracer);
-    futures.push_back(wave[i].promise.get_future());
   }
   // Restamp the hand-off: from here queue-wait means *this* queue, not
   // whatever upstream hop the context already traveled.
@@ -141,7 +148,7 @@ ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
       // upstream, they were handed to us by value) — close them instead of
       // leaving unclosed async slices in the trace.
       for (Request& request : wave) obs::finish_request(request.ctx, tracer);
-      return std::nullopt;
+      return false;
     }
     for (Request& request : wave) {
       if (config_.max_queue != 0 && queue_.size() >= config_.max_queue) break;
@@ -162,7 +169,7 @@ ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
         2, (admitted + config_.max_batch - 1) / config_.max_batch);
     for (std::size_t i = 0; i < wakes; ++i) queue_cv_.notify_one();
   }
-  // Reject-on-full: resolve right here instead of letting the queue grow
+  // Reject-on-full: complete right here instead of letting the queue grow
   // without bound — the caller learns immediately and can back off.
   for (std::size_t i = admitted; i < wave.size(); ++i) {
     ScoreResult shed;
@@ -171,33 +178,24 @@ ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
                  std::to_string(config_.max_queue) + ")";
     deliver(wave[i], std::move(shed));
   }
-  return futures;
+  return true;
 }
 
 std::vector<ScoreResult> ScoringEngine::score_all(
     const std::vector<evm::Address>& addresses) {
-  std::optional<std::vector<std::future<ScoreResult>>> wave =
-      try_submit_many(addresses);
-  if (!wave.has_value()) {
+  // Shared: a worker may still be unwinding its completion after the wait.
+  auto results = std::make_shared<std::vector<ScoreResult>>(addresses.size());
+  auto landed = std::make_shared<std::latch>(
+      static_cast<std::ptrdiff_t>(addresses.size()));
+  if (!try_submit_many(addresses, {},
+                       [results, landed](std::size_t index, ScoreResult row) {
+                         (*results)[index] = std::move(row);
+                         landed->count_down();
+                       })) {
     throw StateError("ScoringEngine::score_all after shutdown");
   }
-  std::vector<std::future<ScoreResult>>& futures = *wave;
-  // Collect everything: a single bad future must not abandon the results
-  // (and the worker-side promises) of the requests after it.
-  std::vector<ScoreResult> results;
-  results.reserve(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    try {
-      results.push_back(futures[i].get());
-    } catch (const std::exception& e) {
-      ScoreResult lost;
-      lost.address = addresses[i];
-      lost.status = ScoreStatus::kShed;
-      lost.error = std::string("result unavailable: ") + e.what();
-      results.push_back(std::move(lost));
-    }
-  }
-  return results;
+  landed->wait();
+  return std::move(*results);
 }
 
 void ScoringEngine::shutdown() {

@@ -5,11 +5,15 @@
 // seconds. The engine accepts addresses on any number of producer threads,
 // queues them, and has a worker pool drain the queue in batches:
 //
-//   submit(addr) -> [bounded queue] -> worker: shed expired deadlines
-//                                        -> BEM eth_getCode (retried)
-//                                        -> code hash -> score cache?
-//                                        -> one score_batch per batch
-//                                        -> cache fill -> future completed
+//   try_submit_many(addrs, on_done) -> [bounded queue]
+//     -> worker: shed expired deadlines
+//     -> BEM eth_getCode (retried) -> code hash -> score cache?
+//     -> one score_batch per batch -> cache fill -> on_done(row, result)
+//
+// Completion is one mechanism, a callback per row run on the worker that
+// finished it: the socket front end replies from it, the stream pipeline
+// tallies in it, and submit/try_submit (futures) and score_all are thin
+// adapters over it.
 //
 // The detector is any ml::Scorer — a single fitted model of any family,
 // or a composite like serve::CascadeScorer. Batching exists because
@@ -29,12 +33,13 @@
 // 64.8k -> 72.7k rows/s.
 //
 // Fault isolation contract: the inputs are adversarial and the upstream is
-// unreliable, so *no request outcome is an exception*. Every future
-// resolves with a ScoreResult carrying a definite ScoreStatus; a throwing
-// extract is confined to its slot (after RetryPolicy-governed retries of
-// transient faults), a throwing score_batch fails only the slots that
-// actually needed the model — cache hits and empty-code slots in the same
-// batch still deliver their valid results — and a failing *heavy* cascade
+// unreliable, so *no request outcome is an exception*. Every admitted row
+// completes exactly once with a ScoreResult carrying a definite
+// ScoreStatus; a throwing extract is confined to its slot (after
+// RetryPolicy-governed retries of transient faults), a throwing
+// score_batch fails only the slots that actually needed the model — cache
+// hits and empty-code slots in the same batch still deliver their valid
+// results — and a failing *heavy* cascade
 // stage downgrades its rows to the stage-0 score (kDegraded, not cached)
 // instead of failing them. Overload is handled by
 // admission control (`max_queue`, reject-on-full) and per-request
@@ -52,7 +57,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -90,8 +97,8 @@ struct EngineConfig {
   common::RetryPolicy extract_retry;
 };
 
-/// Definite outcome of a scoring request. Futures returned by submit()
-/// always resolve with one of these — never with an exception.
+/// Definite outcome of a scoring request. Every completion carries one of
+/// these — never an exception.
 enum class ScoreStatus {
   kOk,            ///< scored (model or cache)
   kEmptyCode,     ///< EOA / destroyed contract (scored as 0)
@@ -141,42 +148,39 @@ class ScoringEngine {
   ScoringEngine(const ScoringEngine&) = delete;
   ScoringEngine& operator=(const ScoringEngine&) = delete;
 
-  /// Enqueues one address; the future completes when a worker scores it
-  /// (or immediately, with kShed, when the queue is full). Callable from
-  /// any thread. Throws StateError after shutdown() began — the only
-  /// exception this API surfaces. Without a ctx the engine mints a fresh
-  /// RequestContext at admission; a valid ctx continues a causal lane that
-  /// began upstream (block follower, load generator, socket), so one trace
-  /// id spans ingest -> queue -> extract -> predict in the exported trace.
-  /// Either way the context's hand-off stamp is refreshed at enqueue, so
-  /// queue-wait attribution measures *this* queue only.
-  std::future<ScoreResult> submit(const evm::Address& address,
-                                  obs::RequestContext ctx = {});
+  /// Runs once per admitted row, with the row's index in the submitted
+  /// list, on the worker that finished it (or on the submitting thread for
+  /// a row shed at admission). Must neither block nor throw.
+  using Completion = std::function<void(std::size_t index, ScoreResult result)>;
 
-  /// Non-throwing submit for streaming producers racing shutdown: returns
-  /// nullopt once shutdown() began (instead of StateError), otherwise
-  /// behaves exactly like submit(). A full queue still yields a kShed
-  /// future — nullopt strictly means "engine no longer accepts work".
+  /// The admission primitive: admits a whole list as one wave, under one
+  /// lock, and returns true; `on_done` then runs once per row. Returns
+  /// false once shutdown() began (no row admitted, no counter moved,
+  /// `on_done` never run). Rows are admitted in order while the queue has
+  /// room (`max_queue`); the rest complete at once with kShed ("queue
+  /// full"). One worker is woken per `max_batch` admitted rows, and never
+  /// fewer than two, so a lone row waits for the faster of two wakes. A
+  /// valid ctx (a causal lane begun upstream: follower, load generator,
+  /// socket) is shared by every row; otherwise each row mints its own.
+  /// The hand-off stamp is refreshed at enqueue, so queue-wait attribution
+  /// measures *this* queue only.
+  bool try_submit_many(std::span<const evm::Address> addresses,
+                       obs::RequestContext ctx, Completion on_done);
+
+  /// Future adapter: a one-row wave whose future resolves on completion,
+  /// or nullopt once shutdown() began. A full queue still yields a kShed
+  /// result — nullopt strictly means "engine no longer accepts work".
   std::optional<std::future<ScoreResult>> try_submit(
       const evm::Address& address, obs::RequestContext ctx = {});
 
-  /// Admits a whole list as one wave, under one lock: returns one future
-  /// per address, in order, or nullopt once shutdown() began (then no row
-  /// is admitted and no counter moves). Rows are admitted in order while
-  /// the queue has room (`max_queue`); the rest resolve at once with
-  /// kShed ("queue full"). One worker is woken per `max_batch` admitted
-  /// rows, so the wave is scored in full batches, and never fewer than two,
-  /// so a lone row waits for the faster of two wakes. A valid ctx is shared by
-  /// every row; otherwise each row mints its own. try_submit and submit
-  /// are one-row waves.
-  std::optional<std::vector<std::future<ScoreResult>>> try_submit_many(
-      std::span<const evm::Address> addresses, obs::RequestContext ctx = {});
+  /// try_submit that throws StateError after shutdown() began — the only
+  /// exception this API surfaces.
+  std::future<ScoreResult> submit(const evm::Address& address,
+                                  obs::RequestContext ctx = {});
 
-  /// Convenience: admit a whole address list as one wave and wait for it.
-  /// Throws StateError after shutdown() began. Never throws out of the
-  /// collection loop — a future that cannot deliver (e.g. its
-  /// promise was abandoned) yields a kShed result for that address while
-  /// every other in-flight result is still collected.
+  /// Convenience: admit a whole address list as one wave and wait for
+  /// every row; results come back in input order. Throws StateError after
+  /// shutdown() began.
   std::vector<ScoreResult> score_all(const std::vector<evm::Address>& addresses);
 
   /// Stops accepting work, finishes what is queued, joins workers.
@@ -196,15 +200,12 @@ class ScoringEngine {
 
   /// Syncs pull-model state (score-cache stats, the scorer's own gauges
   /// such as the cascade escalation rate) into the engine registry. Wire
-  /// as an obs::ScrapeServer pre-scrape hook so /metrics always shows
+  /// as a net::ScrapeServer pre-scrape hook so /metrics always shows
   /// fresh serve_cache_* / serve_cascade_* values.
   void export_pull_metrics() {
     cache_.export_metrics(metrics_.registry);
     detector_->export_metrics(metrics_.registry);
   }
-
-  /// Back-compat alias for export_pull_metrics().
-  void export_cache_metrics() { export_pull_metrics(); }
 
   /// The engine's private registry, scrapable alongside the global one.
   const obs::MetricsRegistry& prometheus_registry() const {
@@ -221,8 +222,9 @@ class ScoringEngine {
  private:
   struct Request {
     evm::Address address;
-    std::promise<ScoreResult> promise;
-    common::Timer queued;        ///< starts at submit()
+    std::shared_ptr<const Completion> on_done;  ///< shared by the wave
+    std::size_t index = 0;       ///< row position in the submitted list
+    common::Timer queued;        ///< starts at admission
     obs::RequestContext ctx;     ///< causal identity, hand-off restamped
     double queue_wait_us = 0.0;  ///< filled when the batch pops it
   };
@@ -239,7 +241,7 @@ class ScoringEngine {
 
   /// Completes one request: stamps address + latency, records the latency
   /// histogram and the completed/failed/shed counter for the status, and
-  /// fulfills the promise.
+  /// runs the row's completion.
   void deliver(Request& request, ScoreResult result);
 
   core::BytecodeExtractionModule bem_;

@@ -1,13 +1,14 @@
 // Bounded hand-off queue between streaming pipeline stages.
 //
 // The streaming pipeline is a chain of single-purpose threads (miner →
-// follower → load generator → collector); each hop hands work across one
-// of these. The bound is load-bearing: a full queue *blocks the producer*,
-// which is how "follower behind the chain" becomes measurable ingest lag
-// and "engine behind the generator" becomes open-loop shed, instead of
-// either turning into unbounded memory growth. close() provides the
-// graceful-drain handshake: producers fail fast, consumers drain what is
-// queued, then see end-of-stream (nullopt).
+// follower → load generator); the follower hands fresh addresses to the
+// generator across one of these. (The generator's hand-off to the engine
+// needs no queue here: the engine's max_queue bounds it and sheds, and
+// completions come back through a callback.) The bound is load-bearing: a
+// full queue *blocks the producer*, which is how "follower behind the
+// chain" becomes measurable ingest lag instead of unbounded memory growth.
+// close() provides the graceful-drain handshake: producers fail fast,
+// consumers drain what is queued, then see end-of-stream (nullopt).
 //
 // Mutex + two condition variables rather than a lock-free ring: hand-offs
 // here happen at request rate (thousands/s), not at per-opcode rate, and

@@ -1,6 +1,5 @@
 #include "stream/coordinator.hpp"
 
-#include <exception>
 #include <sstream>
 
 #include "common/errors.hpp"
@@ -23,7 +22,6 @@ StreamCoordinator::StreamCoordinator(LiveChain& chain,
                 config.follower),
       generator_(config.arrivals),
       addresses_(config.address_queue_capacity, "addresses"),
-      futures_(config.future_queue_capacity, "futures"),
       window_(config.window),
       slo_(window_, config.slo) {}
 
@@ -38,12 +36,10 @@ void StreamCoordinator::start() {
   miner_thread_ = std::thread([this] { miner_loop(); });
   follower_thread_ = std::thread([this] { follower_loop(); });
   generator_thread_ = std::thread([this] { generator_loop(); });
-  collector_thread_ = std::thread([this] { collector_loop(); });
 }
 
 bool StreamCoordinator::finished() const {
-  return generator_done_.load(std::memory_order_acquire) &&
-         collector_done_.load(std::memory_order_acquire);
+  return generator_done_.load(std::memory_order_acquire) && in_flight_ == 0;
 }
 
 void StreamCoordinator::drain() {
@@ -58,7 +54,10 @@ void StreamCoordinator::drain() {
   if (miner_thread_.joinable()) miner_thread_.join();
   if (follower_thread_.joinable()) follower_thread_.join();
   if (generator_thread_.joinable()) generator_thread_.join();
-  if (collector_thread_.joinable()) collector_thread_.join();
+  {
+    std::unique_lock<std::mutex> lock(in_flight_mutex_);
+    in_flight_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  }
   elapsed_s_ = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - epoch_)
                    .count();
@@ -137,9 +136,18 @@ void StreamCoordinator::note_addr_queue_wait(StampedAddress& stamped) {
 
 bool StreamCoordinator::submit_one(const evm::Address& address, bool fresh,
                                    obs::RequestContext ctx) {
-  std::optional<std::future<serve::ScoreResult>> future =
-      engine_->try_submit(address, std::move(ctx));
-  if (!future.has_value()) return false;  // engine shut down underneath us
+  // Counted before admission: the callback may run before try_submit_many
+  // returns (a row shed at admission completes on this thread). No one
+  // waits on the count while the generator still runs.
+  in_flight_ += 1;
+  if (!engine_->try_submit_many(
+          {&address, 1}, std::move(ctx),
+          [this](std::size_t, serve::ScoreResult result) {
+            record_outcome(result);
+          })) {
+    in_flight_ -= 1;  // engine shut down underneath us: never admitted
+    return false;
+  }
   submitted_ += 1;
   metrics_.submitted.inc();
   if (fresh) {
@@ -148,9 +156,7 @@ bool StreamCoordinator::submit_one(const evm::Address& address, bool fresh,
     metrics_.requery.inc();
   }
   if (generator_.last_in_burst()) metrics_.burst.inc();
-  // Blocking push: a full future queue is collector backpressure and
-  // simply stalls the arrival schedule (open-loop ⇒ later arrivals bunch).
-  return futures_.push(std::move(*future));
+  return true;
 }
 
 void StreamCoordinator::generator_loop() {
@@ -207,8 +213,8 @@ void StreamCoordinator::generator_loop() {
                               std::move(fresh->ctx));
   }
 
-  // Always close both queues on the way out: a blocked follower push
-  // unblocks (false) and the collector sees end-of-stream after draining.
+  // Always close the queue on the way out: a blocked follower push
+  // unblocks (false).
   addresses_.close();
   // Addresses the run ended without submitting (max_requests hit, engine
   // gone) still hold open trace lanes — close them so the exported trace
@@ -216,46 +222,36 @@ void StreamCoordinator::generator_loop() {
   while (std::optional<StampedAddress> leftover = addresses_.try_pop()) {
     obs::finish_request(leftover->ctx);
   }
-  futures_.close();
   generator_done_.store(true, std::memory_order_release);
 }
 
-void StreamCoordinator::collector_loop() {
-  for (;;) {
-    std::optional<std::future<serve::ScoreResult>> future = futures_.pop();
-    if (!future.has_value()) break;
-    serve::ScoreResult result;
-    try {
-      result = future->get();
-    } catch (const std::exception&) {
-      // Engine futures never throw by contract; a broken promise (engine
-      // destroyed mid-run) is accounted as shed, same as score_all does.
-      result.status = serve::ScoreStatus::kShed;
-    }
-    switch (result.status) {
-      case serve::ScoreStatus::kOk:
-      case serve::ScoreStatus::kEmptyCode:
-      case serve::ScoreStatus::kDegraded:
-        metrics_.completed.inc();
-        break;
-      case serve::ScoreStatus::kExtractError:
-      case serve::ScoreStatus::kModelError:
-        metrics_.failed.inc();
-        break;
-      case serve::ScoreStatus::kShed:
-        metrics_.shed.inc();
-        break;
-    }
-    if (result.cache_hit) metrics_.cache_hits.inc();
-    // Windowed view: anything that didn't produce a score (failure *or*
-    // shed) burns the SLO's error budget.
-    if (result.ok()) {
-      window_.record_ok(result.latency_us);
-    } else {
-      window_.record_error(result.latency_us);
-    }
+void StreamCoordinator::record_outcome(const serve::ScoreResult& result) {
+  switch (result.status) {
+    case serve::ScoreStatus::kOk:
+    case serve::ScoreStatus::kEmptyCode:
+    case serve::ScoreStatus::kDegraded:
+      metrics_.completed.inc();
+      break;
+    case serve::ScoreStatus::kExtractError:
+    case serve::ScoreStatus::kModelError:
+      metrics_.failed.inc();
+      break;
+    case serve::ScoreStatus::kShed:
+      metrics_.shed.inc();
+      break;
   }
-  collector_done_.store(true, std::memory_order_release);
+  if (result.cache_hit) metrics_.cache_hits.inc();
+  // Windowed view: anything that didn't produce a score (failure *or*
+  // shed) burns the SLO's error budget.
+  if (result.ok()) {
+    window_.record_ok(result.latency_us);
+  } else {
+    window_.record_error(result.latency_us);
+  }
+  // Last touch of this coordinator: notify under the lock, because drain()
+  // may return, and the coordinator go, as soon as it sees zero.
+  std::lock_guard<std::mutex> lock(in_flight_mutex_);
+  if (--in_flight_ == 0) in_flight_cv_.notify_all();
 }
 
 StreamReport StreamCoordinator::report() const {
@@ -308,9 +304,7 @@ std::string StreamCoordinator::health_json() const {
       << ",\"queues\":{\"addresses\":{\"size\":" << addresses_.size()
       << ",\"capacity\":" << addresses_.capacity()
       << ",\"closed\":" << (addresses_.closed() ? "true" : "false")
-      << "},\"futures\":{\"size\":" << futures_.size()
-      << ",\"capacity\":" << futures_.capacity()
-      << ",\"closed\":" << (futures_.closed() ? "true" : "false") << "}}}";
+      << "}}}";
   return out.str();
 }
 

@@ -1,22 +1,25 @@
 // StreamCoordinator: wires miner → follower → load generator → engine
 // into a running pipeline with a graceful start/drain lifecycle.
 //
-// Four single-purpose threads, hand-offs over bounded queues:
+// Three single-purpose threads and the engine's completion callback:
 //
 //   miner      keeps LiveChain producing blocks (paced to blocks_per_s)
 //   follower   tails the chain via BlockFollower, pushes fresh addresses
 //   generator  open-loop arrivals (LoadGenerator schedule): each arrival
-//              re-queries a known address or pops a fresh one, submits to
-//              the ScoringEngine, pushes the future
-//   collector  resolves futures, tallies completed/failed/shed
+//              re-queries a known address or pops a fresh one and submits
+//              it to the ScoringEngine
+//   callback   runs on the engine worker that finished the row: tallies
+//              completed/failed/shed, cache hits and the sliding window
 //
 // The drain protocol runs strictly upstream-to-downstream: stop the miner,
 // let the follower surface the last blocks and close the address queue,
 // let the generator flush every remaining fresh address (so after a full
 // drain fresh_submits == follower.forwarded — an asserted invariant), then
-// close the future queue and let the collector finish. No stage is ever
+// wait until every submitted row's callback has run. No stage is ever
 // cancelled with work still owed to it; the accounting identity
 // submitted == completed + failed + shed holds at the end of every run.
+// The engine's max_queue is the only bound on rows in flight: a full
+// engine sheds, it never blocks the generator.
 //
 // Reproducibility contract (tested): chain content, dedup counts, and —
 // when max_requests bounds the run — the submitted count are pure
@@ -26,8 +29,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -55,12 +59,11 @@ struct StreamConfig {
   /// for tests and smoke benches where only the accounting matters.
   bool paced = true;
   std::size_t address_queue_capacity = 4096;
-  std::size_t future_queue_capacity = 8192;
   /// Stop mining after this many blocks (0 = mine until drain).
   std::uint64_t max_blocks = 0;
   /// Stop generating after this many submissions (0 = until drain).
   std::uint64_t max_requests = 0;
-  /// Sliding window over collector outcomes (rate, error ratio,
+  /// Sliding window over row outcomes (rate, error ratio,
   /// latency quantiles for the last window_seconds).
   obs::WindowConfig window;
   /// SLO targets evaluated over that window. "Error" here means a
@@ -124,13 +127,14 @@ class StreamCoordinator {
   /// Launches the four pipeline threads. Throws StateError on re-start.
   void start();
 
-  /// True once the generator and collector finished on their own
-  /// (max_blocks/max_requests reached and every future resolved). Poll
-  /// this to detect natural completion, then drain() to join.
+  /// True once the generator finished on its own (max_blocks/max_requests
+  /// reached) and every submitted row's callback has run. Poll this to
+  /// detect natural completion, then drain() to join.
   bool finished() const;
 
-  /// Graceful stop: miner → follower → generator flush → collector, in
-  /// order, joining each. Idempotent; also run by the destructor.
+  /// Graceful stop: miner → follower → generator flush, joining each, then
+  /// waits until every row's callback has run. Idempotent; also run by the
+  /// destructor.
   void drain();
 
   /// Valid after drain().
@@ -139,7 +143,7 @@ class StreamCoordinator {
   /// Per-stage stream_* counters/gauges (live during the run).
   obs::MetricsRegistry& registry() { return metrics_.registry; }
 
-  /// Windowed aggregation over collector outcomes (live during the run).
+  /// Windowed aggregation over row outcomes (live during the run).
   const obs::SlidingWindowAggregator& window() const { return window_; }
 
   /// Evaluates the SLO over the current window and publishes the result
@@ -188,16 +192,18 @@ class StreamCoordinator {
   void miner_loop();
   void follower_loop();
   void generator_loop();
-  void collector_loop();
   /// One submission from the generator thread; false when the engine
-  /// stopped accepting work or the future queue closed. `ctx` continues a
-  /// lane minted at ingest (fresh pops); requeries pass none and the
-  /// engine mints at admission.
+  /// stopped accepting work. `ctx` continues a lane minted at ingest
+  /// (fresh pops); requeries pass none and the engine mints at admission.
   bool submit_one(const evm::Address& address, bool fresh,
                   obs::RequestContext ctx = {});
   /// Records how long a popped fresh address sat in the address queue
   /// (histogram + "req.addr_queue" stage slice + flow step).
   void note_addr_queue_wait(StampedAddress& stamped);
+  /// The engine completion: tallies one row's outcome, then takes it out
+  /// of flight. Runs on an engine worker (or the generator, for a row
+  /// shed at admission).
+  void record_outcome(const serve::ScoreResult& result);
 
   LiveChain* chain_;
   serve::ScoringEngine* engine_;
@@ -207,7 +213,6 @@ class StreamCoordinator {
   StreamMetrics metrics_;
 
   BoundedQueue<StampedAddress> addresses_;
-  BoundedQueue<std::future<serve::ScoreResult>> futures_;
 
   obs::SlidingWindowAggregator window_;
   obs::SloEvaluator slo_;      ///< evaluates window_; guarded by slo_mutex_
@@ -220,7 +225,12 @@ class StreamCoordinator {
   std::atomic<bool> drain_requested_{false};
   std::atomic<bool> miner_done_{false};
   std::atomic<bool> generator_done_{false};
-  std::atomic<bool> collector_done_{false};
+
+  /// Rows submitted whose callback has not finished. Callbacks decrement
+  /// it under in_flight_mutex_, which drain() waits on.
+  std::atomic<std::uint64_t> in_flight_{0};
+  std::mutex in_flight_mutex_;
+  std::condition_variable in_flight_cv_;
 
   /// Generator-thread state (touched only there, read after join).
   std::vector<evm::Address> known_;
@@ -231,7 +241,6 @@ class StreamCoordinator {
   std::thread miner_thread_;
   std::thread follower_thread_;
   std::thread generator_thread_;
-  std::thread collector_thread_;
 };
 
 }  // namespace phishinghook::stream

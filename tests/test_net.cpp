@@ -2,8 +2,9 @@
 // (with regressions for the four bugs the blocking PR-8 implementation
 // shipped: HEAD-as-GET, EINTR-aborted writes, unbounded stop() on a
 // stalled peer, split-request mis-parse), and the JSON-RPC 2.0 front door
-// (protocol errors, batches, sheds, keep-alive, disconnects, and a
-// concurrent-clients hammer the TSan leg runs).
+// (protocol errors, batches, the Reply completion contract, keep-alive,
+// disconnects, stop with a held reply, and a concurrent-clients hammer the
+// TSan leg runs).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,9 +14,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <future>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -273,46 +276,68 @@ class JsonRpcTest : public ::testing::Test {
     server_ = std::make_unique<net::JsonRpcServer>(config);
     server_->register_method(
         "echo", [this](const net::JsonValue& params,
-                       const net::JsonRpcServer::CallInfo&) {
+                       const net::JsonRpcServer::CallInfo&,
+                       net::JsonRpcServer::Reply reply) {
           echo_calls_.fetch_add(1, std::memory_order_relaxed);
-          return params;
+          reply([params] { return params; });
+        });
+    // Parks its Reply for the test thread to complete (release_held).
+    server_->register_method(
+        "hold", [this](const net::JsonValue&,
+                       const net::JsonRpcServer::CallInfo&,
+                       net::JsonRpcServer::Reply reply) {
+          std::lock_guard<std::mutex> lock(held_mutex_);
+          held_.push_back(std::move(reply));
+          held_cv_.notify_all();
         });
     server_->register_method(
-        "gate", [this](const net::JsonValue&,
-                       const net::JsonRpcServer::CallInfo&) {
-          gate_entered_.set_value();
-          gate_.get_future().wait();
-          return net::JsonValue::string("opened");
-        });
-    server_->register_method(
-        "slow", [](const net::JsonValue&,
-                   const net::JsonRpcServer::CallInfo&) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          return net::JsonValue::string("done");
-        });
-    server_->register_method(
-        "boom", [](const net::JsonValue&,
-                   const net::JsonRpcServer::CallInfo&) -> net::JsonValue {
+        "boom", [](const net::JsonValue&, const net::JsonRpcServer::CallInfo&,
+                   net::JsonRpcServer::Reply) {
           throw std::runtime_error("kaboom");
         });
     server_->start(0);
   }
   void TearDown() override {
-    // A still-armed gate would deadlock a dispatcher on stop.
-    if (!gate_released_) gate_.set_value();
+    // A reply still parked would keep stop() waiting on its frame.
+    while (held_count() > 0) release_held(0, net::JsonValue::null());
     if (server_) server_->stop();
   }
-  void release_gate() {
-    gate_.set_value();
-    gate_released_ = true;
+  std::size_t held_count() {
+    std::lock_guard<std::mutex> lock(held_mutex_);
+    return held_.size();
+  }
+  void wait_held(std::size_t n) {
+    std::unique_lock<std::mutex> lock(held_mutex_);
+    held_cv_.wait(lock, [&] { return held_.size() >= n; });
+  }
+  /// Completes parked reply `i` with `result` and drops it.
+  void release_held(std::size_t i, net::JsonValue result) {
+    std::optional<net::JsonRpcServer::Reply> reply;
+    {
+      std::lock_guard<std::mutex> lock(held_mutex_);
+      reply = std::move(held_[i]);
+      held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    (*reply)([result] { return result; });
   }
 
   std::unique_ptr<net::JsonRpcServer> server_;
   std::atomic<int> echo_calls_{0};
-  std::promise<void> gate_;
-  std::promise<void> gate_entered_;
-  bool gate_released_ = false;
+  std::mutex held_mutex_;
+  std::condition_variable held_cv_;
+  std::vector<net::JsonRpcServer::Reply> held_;
 };
+
+/// Sends one JSON-RPC POST (Connection: close) without reading the answer.
+int send_rpc(std::uint16_t port, const std::string& body) {
+  const int fd = connect_loopback(port);
+  if (fd >= 0) {
+    send_all(fd, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                     std::to_string(body.size()) +
+                     "\r\nConnection: close\r\n\r\n" + body);
+  }
+  return fd;
+}
 
 TEST_F(JsonRpcTest, EchoRoundTripAndIdFidelity) {
   start();
@@ -402,26 +427,38 @@ TEST_F(JsonRpcTest, BatchMixesValidInvalidAndNotifications) {
 
 TEST_F(JsonRpcTest, TransportRulesEnforced) {
   start();
-  EXPECT_NE(round_trip(server_->port(), http_request("GET", "/"))
-                .find("405"),
-            std::string::npos);
-  EXPECT_NE(round_trip(server_->port(),
-                       "POST / HTTP/1.1\r\nHost: x\r\n\r\n")
-                .find("411"),
-            std::string::npos);
+  // Every transport refusal is an Invalid Request (-32600): the frame can
+  // never succeed as sent, so it must not read as a retryable shed.
+  const auto expect_refused = [](const std::string& response,
+                                 const char* status) {
+    EXPECT_NE(response.find(status), std::string::npos) << response;
+    EXPECT_NE(body_of(response).find("-32600"), std::string::npos)
+        << response;
+    EXPECT_EQ(body_of(response).find("-32005"), std::string::npos)
+        << response;
+  };
+  expect_refused(round_trip(server_->port(), http_request("GET", "/")),
+                 "405");
+  expect_refused(
+      round_trip(server_->port(), "POST / HTTP/1.1\r\nHost: x\r\n\r\n"),
+      "411");
+  expect_refused(round_trip(server_->port(),
+                            "POST / HTTP/1.1\r\nContent-Length: 1x\r\n\r\n"),
+                 "400");
+  expect_refused(round_trip(server_->port(), "GARBAGE\r\n\r\n"), "400");
+  expect_refused(round_trip(server_->port(),
+                            "POST / HTTP/1.1\r\nX-Pad: " +
+                                std::string(16500, 'a')),
+                 "431");
   // Declared body over the cap is refused before it is read.
   net::RpcConfig config;
   config.max_body_bytes = 512;
   TearDown();
-  gate_ = std::promise<void>();
-  gate_entered_ = std::promise<void>();
-  gate_released_ = false;
   start(config);
-  EXPECT_NE(round_trip(server_->port(),
-                       "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: "
-                       "100000\r\nConnection: close\r\n\r\n")
-                .find("413"),
-            std::string::npos);
+  expect_refused(round_trip(server_->port(),
+                            "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                            "100000\r\nConnection: close\r\n\r\n"),
+                 "413");
 }
 
 TEST_F(JsonRpcTest, KeepAliveServesSequentialRequests) {
@@ -444,96 +481,104 @@ TEST_F(JsonRpcTest, KeepAliveServesSequentialRequests) {
   EXPECT_EQ(server_->connections_accepted(), 1u);
 }
 
-TEST_F(JsonRpcTest, FullDispatchQueueSheds503) {
-  net::RpcConfig config;
-  config.dispatchers = 1;
-  config.queue_capacity = 1;
-  start(config);
-  // r1 occupies the only dispatcher inside the gate...
-  std::thread r1([&] {
-    rpc_post(server_->port(), R"({"jsonrpc":"2.0","id":1,"method":"gate"})");
+TEST_F(JsonRpcTest, HeldReplyIsCompletedByAnotherThread) {
+  start();
+  std::string response;
+  std::thread client([&] {
+    response = rpc_post(server_->port(),
+                        R"({"jsonrpc":"2.0","id":1,"method":"hold"})");
   });
-  gate_entered_.get_future().wait();
-  // ...r2 fills the queue's single slot...
-  const int r2 = connect_loopback(server_->port());
-  ASSERT_GE(r2, 0);
-  const std::string body2 = R"({"jsonrpc":"2.0","id":2,"method":"echo"})";
-  send_all(r2, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-                   std::to_string(body2.size()) +
-                   "\r\nConnection: close\r\n\r\n" + body2);
-  while (server_->requests_received() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // ...so r3 must be shed at admission, immediately, with the engine's
-  // shed vocabulary (503 / -32005) — not queued behind the gate.
-  const std::string shed = rpc_post(
-      server_->port(), R"({"jsonrpc":"2.0","id":3,"method":"echo"})");
-  EXPECT_NE(shed.find("503"), std::string::npos) << shed;
-  EXPECT_NE(shed.find("-32005"), std::string::npos);
-  release_gate();
-  const std::string served = recv_to_eof(r2);
-  ::close(r2);
-  EXPECT_NE(served.find("\"id\":2"), std::string::npos) << served;
-  r1.join();
-  EXPECT_EQ(server_->metrics_registry()
-                .counter("net_requests_shed")
-                .value(),
-            1u);
+  wait_held(1);
+  // The handler returned long ago; the frame waits on its parked reply
+  // while the loop keeps serving other connections.
+  const std::string other = rpc_post(
+      server_->port(), R"({"jsonrpc":"2.0","id":2,"method":"echo"})");
+  EXPECT_NE(other.find("\"id\":2"), std::string::npos) << other;
+  EXPECT_EQ(server_->frames_in_flight(), 1u);
+  release_held(0, net::JsonValue::string("opened"));
+  client.join();
+  EXPECT_NE(body_of(response).find("\"result\":\"opened\""),
+            std::string::npos)
+      << response;
 }
 
-TEST_F(JsonRpcTest, ExpiredDeadlineShedsBeforeHandlerRuns) {
-  net::RpcConfig config;
-  config.dispatchers = 1;
-  config.request_deadline_us = 5000;  // 5ms
-  start(config);
-  std::thread r1([&] {
-    rpc_post(server_->port(), R"({"jsonrpc":"2.0","id":1,"method":"gate"})");
+TEST_F(JsonRpcTest, BatchRepliesInReverseStillAnswerInRequestOrder) {
+  start();
+  std::string body;
+  std::thread client([&] {
+    body = body_of(rpc_post(
+        server_->port(),
+        R"([{"jsonrpc":"2.0","id":1,"method":"hold"},)"
+        R"({"jsonrpc":"2.0","id":2,"method":"hold"},)"
+        R"({"jsonrpc":"2.0","id":3,"method":"hold"}])"));
   });
-  gate_entered_.get_future().wait();
-  // r2 queues behind the gate and ages past its deadline.
-  const int r2 = connect_loopback(server_->port());
-  ASSERT_GE(r2, 0);
-  const std::string body2 = R"({"jsonrpc":"2.0","id":2,"method":"echo"})";
-  send_all(r2, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-                   std::to_string(body2.size()) +
-                   "\r\nConnection: close\r\n\r\n" + body2);
-  while (server_->requests_received() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  wait_held(3);
+  // Complete the last call first: the held replies are in call order.
+  for (int k = 3; k >= 1; --k) {
+    release_held(static_cast<std::size_t>(k - 1),
+                 net::JsonValue::number(k * 10));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  release_gate();
-  const std::string response = recv_to_eof(r2);
-  ::close(r2);
-  r1.join();
-  EXPECT_NE(response.find("-32005"), std::string::npos) << response;
-  // The whole point of the deadline: no handler work for a request the
-  // client has already given up on.
-  EXPECT_EQ(echo_calls_.load(), 0);
+  client.join();
+  EXPECT_EQ(body,
+            R"([{"jsonrpc":"2.0","id":1,"result":10},)"
+            R"({"jsonrpc":"2.0","id":2,"result":20},)"
+            R"({"jsonrpc":"2.0","id":3,"result":30}])");
+}
+
+TEST_F(JsonRpcTest, StopWaitsForHeldReplyToBeReleased) {
+  start();
+  const int fd =
+      send_rpc(server_->port(), R"({"jsonrpc":"2.0","id":1,"method":"hold"})");
+  ASSERT_GE(fd, 0);
+  wait_held(1);
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    server_->stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stopped.load()) << "stop() returned with a reply outstanding";
+  release_held(0, net::JsonValue::string("late"));
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  EXPECT_EQ(server_->frames_in_flight(), 0u);
+  // The loop was still running when the reply landed, so it was answered.
+  const std::string response = recv_to_eof(fd);
+  ::close(fd);
+  EXPECT_NE(response.find("\"result\":\"late\""), std::string::npos)
+      << response;
 }
 
 TEST_F(JsonRpcTest, ClientDisconnectMidResponseLeavesServerHealthy) {
   start();
-  // Fire a slow request and hang up before the response can be written.
-  const int fd = connect_loopback(server_->port());
+  // Park a request and hang up before it is answered.
+  const int fd =
+      send_rpc(server_->port(), R"({"jsonrpc":"2.0","id":1,"method":"hold"})");
   ASSERT_GE(fd, 0);
-  const std::string body = R"({"jsonrpc":"2.0","id":1,"method":"slow"})";
-  send_all(fd, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-                   std::to_string(body.size()) +
-                   "\r\nConnection: close\r\n\r\n" + body);
+  wait_held(1);
   ::close(fd);
-  // The dispatcher finishes the handler, the posted response is dropped
-  // on the dead connection, and the server keeps serving.
+  while (server_->connections() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // A helper thread replies after the client is gone: the response is
+  // dropped with its connection, and the server keeps serving.
+  std::thread helper([&] { release_held(0, net::JsonValue::string("done")); });
+  helper.join();
   const std::string after = rpc_post(
       server_->port(), R"({"jsonrpc":"2.0","id":2,"method":"echo"})");
   EXPECT_NE(after.find("\"id\":2"), std::string::npos) << after;
+  while (server_->frames_in_flight() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->metrics_registry().counter("net_requests_total").value(),
+            server_->metrics_registry().counter("net_responses_total").value() +
+                1);
 }
 
-// The TSan leg runs this: many client threads against the dispatcher pool
-// exercises queue hand-off, with_connection re-entry, and metric writes.
+// The TSan leg runs this: many client threads against the loop exercises
+// frame completion, with_connection re-entry, and metric writes.
 TEST_F(JsonRpcTest, ConcurrentClientsAllGetTheirOwnResponses) {
-  net::RpcConfig config;
-  config.dispatchers = 4;
-  start(config);
+  start();
   constexpr int kThreads = 8;
   constexpr int kRequests = 25;
   std::atomic<int> mismatches{0};

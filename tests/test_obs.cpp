@@ -29,9 +29,9 @@
 #include "common/logging.hpp"
 #include "core/model_registry.hpp"
 #include "ml/random_forest.hpp"
+#include "net/scrape_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
-#include "obs/scrape_server.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "serve/scoring_engine.hpp"
@@ -557,7 +557,7 @@ std::string http_get(std::uint16_t port, const std::string& target) {
 TEST(ObsScrape, ServesMetricsVarsHealthzAnd404) {
   obs::MetricsRegistry registry;
   registry.counter("scrape_test_total").inc(3);
-  obs::ScrapeServer server;
+  net::ScrapeServer server;
   server.add_registry(registry);
   server.start(0);  // ephemeral
   ASSERT_TRUE(server.running());
@@ -591,7 +591,7 @@ TEST(ObsScrape, ServesMetricsVarsHealthzAnd404) {
 TEST(ObsScrape, HooksRunPerScrapeAndHealthOverrides) {
   obs::MetricsRegistry registry;
   std::atomic<int> hook_runs{0};
-  obs::ScrapeServer server;
+  net::ScrapeServer server;
   server.add_registry(registry);
   server.add_pre_scrape_hook([&registry, &hook_runs] {
     registry.gauge("synced_value").set(static_cast<double>(++hook_runs));
@@ -615,7 +615,7 @@ TEST(ObsScrape, HooksRunPerScrapeAndHealthOverrides) {
 }
 
 TEST(ObsScrape, StartTwiceThrows) {
-  obs::ScrapeServer server;
+  net::ScrapeServer server;
   server.start(0);
   EXPECT_THROW(server.start(0), StateError);
   server.stop();
@@ -628,7 +628,7 @@ TEST(ObsScrape, ConcurrentScrapesSeeConsistentResponsesUnderWrites) {
   obs::MetricsRegistry registry;
   obs::Counter counter = registry.counter("busy_total");
   obs::LatencyHistogram& histogram = registry.histogram("busy_us");
-  obs::ScrapeServer server;
+  net::ScrapeServer server;
   server.add_registry(registry);
   server.start(0);
 

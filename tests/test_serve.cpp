@@ -1,7 +1,9 @@
 // Serving subsystem: artifact round-trips, the sharded LRU score cache,
 // service metrics, the batching scoring engine (including the
 // multi-producer consistency check the TSan build exercises), wave
-// admission, and phook_scoreBatch over a loopback socket.
+// admission through the callback primitive, and phook_scoreBatch over a
+// loopback socket: request order, shed rows and the conservation law end
+// to end, and frames freed after their replies.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,7 +12,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -95,6 +100,68 @@ std::string rpc_post(std::uint16_t port, const std::string& body) {
   return head_end == std::string::npos ? std::string()
                                        : response.substr(head_end + 4);
 }
+
+/// Admits `wave` through the engine's callback primitive and waits for
+/// every row; nullopt when the engine refused the wave.
+std::optional<std::vector<serve::ScoreResult>> submit_wave(
+    serve::ScoringEngine& engine, const std::vector<evm::Address>& wave) {
+  struct Rows {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::vector<serve::ScoreResult> results;
+    std::size_t left = 0;
+  };
+  auto rows = std::make_shared<Rows>();
+  rows->results.resize(wave.size());
+  rows->left = wave.size();
+  if (!engine.try_submit_many(
+          wave, {}, [rows](std::size_t index, serve::ScoreResult result) {
+            std::lock_guard<std::mutex> lock(rows->mutex);
+            rows->results[index] = std::move(result);
+            if (--rows->left == 0) rows->cv.notify_all();
+          })) {
+    return std::nullopt;
+  }
+  std::unique_lock<std::mutex> lock(rows->mutex);
+  rows->cv.wait(lock, [&] { return rows->left == 0; });
+  return std::move(rows->results);
+}
+
+/// Scorer whose score_batch waits until open(): it holds the engine's
+/// worker so a test can see the state before any row is scored.
+class GatedScorer final : public ml::Scorer {
+ public:
+  explicit GatedScorer(ml::Scorer& inner) : inner_(&inner) {}
+
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    inner_->score_batch(view, out);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  ml::Scorer* inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
 
 evm::Hash256 hash_of_byte(std::uint8_t b) {
   evm::Hash256 h{};
@@ -521,14 +588,14 @@ TEST_F(ScoringEngineTest, WaveOfSixtyFourFillsExactlyTwoBatches) {
   const std::vector<evm::Address> wave(addresses_.begin(),
                                        addresses_.begin() + 64);
   ASSERT_EQ(std::set<evm::Address>(wave.begin(), wave.end()).size(), 64u);
-  std::optional<std::vector<std::future<serve::ScoreResult>>> futures =
-      engine.try_submit_many(wave);
-  ASSERT_TRUE(futures.has_value());
-  ASSERT_EQ(futures->size(), wave.size());
+  const std::optional<std::vector<serve::ScoreResult>> results =
+      submit_wave(engine, wave);
+  ASSERT_TRUE(results.has_value());
+  ASSERT_EQ(results->size(), wave.size());
 
   const std::vector<ml::ScoredRow> expected = direct_batch(wave);
   for (std::size_t i = 0; i < wave.size(); ++i) {
-    const serve::ScoreResult result = (*futures)[i].get();
+    const serve::ScoreResult& result = (*results)[i];
     EXPECT_EQ(result.address, wave[i]);
     ASSERT_EQ(result.status, serve::ScoreStatus::kOk) << "row " << i;
     EXPECT_EQ(result.probability, expected[i].probability) << "row " << i;
@@ -576,6 +643,92 @@ TEST_F(ScoringEngineTest, RpcScoreBatchOverLoopbackKeepsRequestOrder) {
               "invalid_address");
   }
   EXPECT_EQ(engine.metrics().requests_submitted.value(), 3u);
+}
+
+TEST_F(ScoringEngineTest, RpcScoreBatchOverflowIsShedInOrderAndConserved) {
+  GatedScorer gated(*adapter_);
+  serve::EngineConfig config;
+  config.workers = 1;
+  config.max_queue = 2;
+  serve::ScoringEngine engine(*dataset().explorer, gated, config);
+  serve::RpcFrontend frontend(engine);
+  frontend.start(0);
+
+  const std::vector<evm::Address> wave(addresses_.begin(),
+                                       addresses_.begin() + 8);
+  std::string body =
+      R"({"jsonrpc":"2.0","id":3,"method":"phook_scoreBatch","params":[[)";
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    body += (i == 0 ? "\"" : ",\"") + wave[i].to_hex() + "\"";
+  }
+  body += "]]}";
+  std::string response;
+  std::thread client([&] { response = rpc_post(frontend.port(), body); });
+  // The wave is admitted under one lock into an idle engine: two rows fill
+  // the queue and reach the gated model, the other six are shed at once.
+  gated.wait_entered();
+  EXPECT_EQ(frontend.server().frames_in_flight(), 1u);
+  gated.open();
+  client.join();
+  frontend.stop();
+
+  const std::optional<net::JsonValue> doc = net::JsonValue::parse(response);
+  ASSERT_TRUE(doc.has_value()) << response;
+  const net::JsonValue* result = doc->find("result");
+  ASSERT_NE(result, nullptr) << response;
+  const net::JsonValue::Array& rows = result->as_array();
+  ASSERT_EQ(rows.size(), wave.size());
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    EXPECT_EQ(rows[i].find("address")->as_string(), wave[i].to_hex());
+    EXPECT_EQ(rows[i].find("status")->as_string(), i < 2 ? "ok" : "shed")
+        << "row " << i;
+  }
+  const serve::ServiceMetrics& m = engine.metrics();
+  EXPECT_EQ(m.requests_submitted.value(), wave.size());
+  EXPECT_EQ(m.requests_shed.value(), 6u);
+  EXPECT_EQ(m.requests_submitted.value(),
+            m.requests_completed.value() + m.requests_failed.value() +
+                m.requests_shed.value());
+  obs::MetricsRegistry& net_metrics = frontend.server().metrics_registry();
+  EXPECT_EQ(net_metrics.counter("net_requests_total").value(), 1u);
+  EXPECT_EQ(net_metrics.counter("net_requests_total").value(),
+            net_metrics.counter("net_responses_total").value());
+}
+
+// A batch's shared row state, the frame's Reply and the result thunk point
+// at one another; any cycle among them keeps every frame alive. The ASan
+// leg runs this.
+TEST_F(ScoringEngineTest, RpcScoreBatchFramesAreFreedOnceAnswered) {
+  serve::EngineConfig config;
+  config.workers = 2;
+  serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
+  auto frontend = std::make_unique<serve::RpcFrontend>(engine);
+  frontend->start(0);
+
+  const std::string body =
+      R"({"jsonrpc":"2.0","id":1,"method":"phook_scoreBatch","params":[[")" +
+      addresses_[0].to_hex() + R"(","0xnothex",")" + addresses_[1].to_hex() +
+      R"("]]})";
+  std::size_t answered = 0;
+  for (int call = 0; call < 2000; ++call) {
+    if (rpc_post(frontend->port(), body).find("\"result\"") !=
+        std::string::npos) {
+      ++answered;
+    }
+  }
+  EXPECT_EQ(answered, 2000u);
+  // The last frame may still be unwinding on a worker after its response.
+  const net::JsonRpcServer& server = frontend->server();
+  for (int spin = 0; spin < 5000 && server.frames_in_flight() != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (server.frames_in_flight() != 0) {
+    ADD_FAILURE() << server.frames_in_flight() << " frames never freed";
+    // stop() would wait on the leaked frames forever.
+    (void)frontend.release();
+    return;
+  }
+  frontend->stop();
 }
 
 TEST_F(ScoringEngineTest, MetricsDumpAfterTraffic) {

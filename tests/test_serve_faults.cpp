@@ -11,7 +11,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -95,6 +98,32 @@ class FailingDetector final : public core::PhishingClassifier {
 std::uint64_t terminal_total(const serve::ServiceMetrics& metrics) {
   return metrics.requests_completed.value() +
          metrics.requests_failed.value() + metrics.requests_shed.value();
+}
+
+/// Admits `wave` through the engine's callback primitive and waits for
+/// every row; nullopt when the engine refused the wave.
+std::optional<std::vector<serve::ScoreResult>> submit_wave(
+    serve::ScoringEngine& engine, const std::vector<evm::Address>& wave) {
+  struct Rows {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::vector<serve::ScoreResult> results;
+    std::size_t left = 0;
+  };
+  auto rows = std::make_shared<Rows>();
+  rows->results.resize(wave.size());
+  rows->left = wave.size();
+  if (!engine.try_submit_many(
+          wave, {}, [rows](std::size_t index, serve::ScoreResult result) {
+            std::lock_guard<std::mutex> lock(rows->mutex);
+            rows->results[index] = std::move(result);
+            if (--rows->left == 0) rows->cv.notify_all();
+          })) {
+    return std::nullopt;
+  }
+  std::unique_lock<std::mutex> lock(rows->mutex);
+  rows->cv.wait(lock, [&] { return rows->left == 0; });
+  return std::move(rows->results);
 }
 
 // --- RetryPolicy -------------------------------------------------------------
@@ -410,14 +439,14 @@ TEST(ChaosEngine, WaveAgainstFullQueueAdmitsExactlyTheRoom) {
   const std::vector<evm::Address> addresses = all_addresses();
   const std::vector<evm::Address> wave(addresses.begin(),
                                        addresses.begin() + 16);
-  std::optional<std::vector<std::future<serve::ScoreResult>>> futures =
-      engine.try_submit_many(wave);
-  ASSERT_TRUE(futures.has_value());
-  ASSERT_EQ(futures->size(), 16u);
+  const std::optional<std::vector<serve::ScoreResult>> results =
+      submit_wave(engine, wave);
+  ASSERT_TRUE(results.has_value());
+  ASSERT_EQ(results->size(), 16u);
   // The wave is admitted under one lock into an idle engine: the first
   // four rows fill the queue, the other twelve are shed on the spot.
   for (std::size_t i = 0; i < wave.size(); ++i) {
-    const serve::ScoreResult result = (*futures)[i].get();
+    const serve::ScoreResult& result = (*results)[i];
     EXPECT_EQ(result.address, wave[i]);
     if (i < 4) {
       EXPECT_TRUE(result.ok()) << "row " << i;
@@ -447,7 +476,7 @@ TEST(ChaosEngine, WaveAfterShutdownIsRefusedAndCountsNothing) {
   const serve::ServiceMetrics& m = engine.metrics();
   const std::uint64_t submitted = m.requests_submitted.value();
   const std::uint64_t terminal = terminal_total(m);
-  EXPECT_FALSE(engine.try_submit_many(wave).has_value());
+  EXPECT_FALSE(submit_wave(engine, wave).has_value());
   EXPECT_FALSE(engine.try_submit(wave.front()).has_value());
   EXPECT_THROW(engine.score_all(wave), StateError);
   EXPECT_EQ(m.requests_submitted.value(), submitted);

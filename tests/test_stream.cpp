@@ -2,16 +2,19 @@
 // dedup accounting, the open-loop arrival model, bounded queues, the
 // fault-schedule-under-streaming-order guarantee, and the coordinator's
 // end-to-end lifecycle — including the conservation law
-// submitted == completed + failed + shed after every drain.
+// submitted == completed + failed + shed after every drain, and a drain
+// that waits for every engine callback.
 //
-// The TSan leg of ci.sh runs this whole file: four pipeline threads plus
-// engine workers race over the queues, the chain lock, and the metrics
-// cells on purpose.
+// The TSan leg of ci.sh runs this whole file: three pipeline threads plus
+// engine workers running the coordinator's callback race over the queues,
+// the chain lock, and the metrics cells on purpose.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -61,6 +64,42 @@ core::HistogramAdapter& detector() {
   }();
   return adapter;
 }
+
+/// Scorer whose score_batch waits until open(): it holds the engine's
+/// worker so a test can see the pipeline with rows still in flight.
+class GatedScorer final : public ml::Scorer {
+ public:
+  explicit GatedScorer(ml::Scorer& inner) : inner_(&inner) {}
+
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    inner_->score_batch(view, out);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  ml::Scorer* inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
 
 // ---------------------------------------------------------------- mining
 
@@ -578,6 +617,42 @@ TEST(StreamCoordinatorTest, OverloadedEngineShedsButConservesAccounting) {
   EXPECT_TRUE(report.accounting_ok());
   // A 1-deep queue against an unpaced flood must reject work.
   EXPECT_GT(report.shed, 0u);
+}
+
+TEST(StreamCoordinatorTest, DrainWaitsForEveryCallbackThenAccountingHolds) {
+  stream::LiveChain live;
+  GatedScorer gated(detector());
+  serve::EngineConfig engine_config;
+  engine_config.workers = 1;
+  serve::ScoringEngine engine(live.explorer(), gated, engine_config);
+  stream::StreamConfig config;
+  config.paced = false;
+  config.follower.start_block = 0;
+  config.max_blocks = 10;
+  config.max_requests = 50;
+  stream::StreamCoordinator coordinator(live, engine, config);
+  coordinator.start();
+  gated.wait_entered();  // the engine's only worker is now held
+
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    coordinator.drain();
+    drained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(drained.load()) << "drain() returned with rows in flight";
+  EXPECT_FALSE(coordinator.finished());
+  gated.open();
+  drainer.join();
+
+  EXPECT_TRUE(coordinator.finished());
+  const stream::StreamReport report = coordinator.report();
+  EXPECT_GT(report.submitted, 0u);
+  EXPECT_TRUE(report.accounting_ok())
+      << "submitted=" << report.submitted
+      << " completed=" << report.completed << " failed=" << report.failed
+      << " shed=" << report.shed;
+  EXPECT_EQ(engine.metrics().requests_submitted.value(), report.submitted);
 }
 
 TEST(StreamCoordinatorTest, MetricsExpositionCarriesStreamSeries) {
