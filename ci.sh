@@ -602,6 +602,11 @@ batch = json.load(open(sys.argv[2]))
 assert isinstance(batch, list) and len(batch) == 2, f"bad batch: {batch!r}"
 by_id = {r.get("id"): r for r in batch}
 check_score(by_id["s"], "s")
+# The batch re-asks for the address the single call just scored: a cache
+# hit answered on the loop thread at submission, so it never queued.
+repeat = by_id["s"]["result"]
+assert repeat["cache_hit"] is True, f"repeat missed the cache: {repeat!r}"
+assert repeat["queue_wait_us"] == 0, f"repeat was queued: {repeat!r}"
 health = by_id["h"]["result"]
 assert health["status"] == "ok", f"health status {health!r}"
 assert health["engine"]["requests_completed"] >= 1, f"no completions: {health!r}"

@@ -120,7 +120,8 @@ const ContractRecord& ChainStore::record_deployment(const Address& deployer,
   record.block_number = head_block_;
   record.timestamp = head_timestamp_;
   record.month = head_month_;
-  record.code_hash = state_.get_code(address).code_hash();
+  // The account already holds its code's hash: no second Keccak.
+  record.code_hash = state_.code_hash(address);
   records_.push_back(record);
   return records_.back();
 }

@@ -1,5 +1,7 @@
 #include "chain/explorer.hpp"
 
+#include <typeinfo>
+
 namespace phishinghook::chain {
 
 std::string Explorer::eth_get_code(const Address& address) const {
@@ -8,7 +10,26 @@ std::string Explorer::eth_get_code(const Address& address) const {
 
 Bytecode Explorer::get_code(const Address& address) const {
   const Account* account = chain_->state().find(address);
-  return account == nullptr ? Bytecode() : account->code;
+  return account == nullptr ? Bytecode() : account->code();
+}
+
+std::optional<StoredCode> Explorer::stored_code(const Address& address,
+                                                ReadMode mode) const {
+  // Only the explorer that fronts the chain itself may read state in
+  // place; a subclass's get_code may add a lock, a fault or a timer.
+  if (typeid(*this) == typeid(Explorer)) {
+    const Account* account = chain_->state().find(address);
+    return account == nullptr ? StoredCode{} : account->stored_code();
+  }
+  // That get_code may wait, which a try-read must never do.
+  if (mode == ReadMode::kTry) return std::nullopt;
+  Bytecode code = get_code(address);
+  StoredCode stored;
+  if (!code.empty()) {
+    stored.hash = code.code_hash();
+    stored.code = std::make_shared<const Bytecode>(std::move(code));
+  }
+  return stored;
 }
 
 void Explorer::flag(const Address& address, ContractFlag flag) {

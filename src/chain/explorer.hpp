@@ -38,11 +38,17 @@ struct ChainTail {
   std::uint64_t head_block = 0;         ///< head at snapshot time
 };
 
-/// The read path (eth_get_code / get_code / flag_of / crawl) is virtual so
-/// decorators — FaultInjectingExplorer in fault_injection.hpp is the one
-/// shipped here — can interpose on exactly what a flaky upstream node would
-/// degrade, while consumers (the BEM, the scoring engine) stay written
-/// against plain `const Explorer&`. The label *write* path stays
+/// Whether a read may wait for a lock the chain's writer holds.
+enum class ReadMode {
+  kWait,  ///< block until the read can run
+  kTry,   ///< never block: report "busy" (nullopt) instead
+};
+
+/// The read path (eth_get_code / get_code / stored_code / flag_of / crawl)
+/// is virtual so decorators — FaultInjectingExplorer in fault_injection.hpp
+/// is the one shipped here — can interpose on exactly what a flaky upstream
+/// node would degrade, while consumers (the BEM, the scoring engine) stay
+/// written against plain `const Explorer&`. The label *write* path stays
 /// non-virtual: decorators wrap a corpus that is already populated.
 class Explorer {
  public:
@@ -55,6 +61,21 @@ class Explorer {
 
   /// The same, decoded — the BEM's working form.
   virtual Bytecode get_code(const Address& address) const;
+
+  /// The account's stored code hash and the chain's shared copy of its
+  /// code, read together under one lock, so the hash always belongs to
+  /// the bytes. Unknown accounts read as empty code. nullopt only in
+  /// ReadMode::kTry, when the read would have had to wait.
+  ///
+  /// An Explorer over the chain reads the account in place: no copy and
+  /// no hashing. A subclass that does not override this inherits a version
+  /// that reads through the subclass's own get_code (and hashes what it
+  /// returns), so a decorator that interposes only on get_code still sees
+  /// every code read and takes whatever lock its get_code takes. Since
+  /// that get_code may block, the inherited version answers every kTry
+  /// read with nullopt: such a decorator's reads all happen in kWait.
+  virtual std::optional<StoredCode> stored_code(
+      const Address& address, ReadMode mode = ReadMode::kWait) const;
 
   /// Label-service write path (exercised by corpus generation).
   void flag(const Address& address, ContractFlag flag);

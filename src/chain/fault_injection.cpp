@@ -83,6 +83,22 @@ Bytecode FaultInjectingExplorer::get_code(const Address& address) const {
   return inner_->get_code(address);
 }
 
+std::optional<StoredCode> FaultInjectingExplorer::stored_code(
+    const Address& address, ReadMode mode) const {
+  switch (next_fault(address)) {
+    case Fault::kEmpty:
+      return StoredCode{};
+    case Fault::kDelay:
+      if (mode == ReadMode::kTry) return std::nullopt;
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(config_.latency_us));
+      break;
+    default:
+      break;
+  }
+  return inner_->stored_code(address, mode);
+}
+
 FaultStats FaultInjectingExplorer::stats() const {
   FaultStats out;
   out.calls = calls_.load(std::memory_order_relaxed);

@@ -14,7 +14,8 @@
 // yields the same per-address fault sequence, which is what lets
 // test_serve_faults compare engine outputs across thread counts.
 //
-// Only the code-fetch path (eth_get_code / get_code) is faulted; label
+// Only the code-fetch path (eth_get_code / get_code / stored_code) is
+// faulted, and a stored_code try-read draws from the same schedule; label
 // reads and crawls delegate untouched, mirroring how etherscan's label
 // pages and a JSON-RPC endpoint fail independently in practice.
 #pragma once
@@ -53,6 +54,10 @@ class FaultInjectingExplorer final : public Explorer {
 
   std::string eth_get_code(const Address& address) const override;
   Bytecode get_code(const Address& address) const override;
+  /// An injected stall makes a ReadMode::kTry read report busy instead of
+  /// sleeping: the caller asked not to be blocked.
+  std::optional<StoredCode> stored_code(
+      const Address& address, ReadMode mode = ReadMode::kWait) const override;
 
   ContractFlag flag_of(const Address& address) const override {
     return inner_->flag_of(address);

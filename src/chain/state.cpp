@@ -5,6 +5,25 @@
 
 namespace phishinghook::chain {
 
+const std::shared_ptr<const Bytecode>& empty_code() {
+  static const std::shared_ptr<const Bytecode> empty =
+      std::make_shared<const Bytecode>();
+  return empty;
+}
+
+const evm::Hash256& empty_code_hash() {
+  static const evm::Hash256 hash = Bytecode().code_hash();
+  return hash;
+}
+
+StoredCode State::intern(Bytecode code) {
+  if (code.empty()) return StoredCode{};
+  const evm::Hash256 hash = code.code_hash();
+  auto [it, inserted] = codes_.try_emplace(hash);
+  if (inserted) it->second = std::make_shared<const Bytecode>(std::move(code));
+  return StoredCode{hash, it->second};
+}
+
 Account& State::touch(const Address& address) { return accounts_[address]; }
 
 const Account* State::find(const Address& address) const {
@@ -17,7 +36,7 @@ void State::set_balance(const Address& address, const U256& balance) {
 }
 
 void State::set_code(const Address& address, Bytecode code) {
-  touch(address).code = std::move(code);
+  touch(address).stored_ = intern(std::move(code));
 }
 
 std::uint64_t State::increment_nonce(const Address& address) {
@@ -31,7 +50,12 @@ U256 State::get_balance(const Address& account) {
 
 Bytecode State::get_code(const Address& account) {
   const Account* acct = find(account);
-  return acct == nullptr ? Bytecode() : acct->code;
+  return acct == nullptr ? Bytecode() : acct->code();
+}
+
+evm::Hash256 State::code_hash(const Address& account) {
+  const Account* acct = find(account);
+  return acct == nullptr ? empty_code_hash() : acct->stored_code().hash;
 }
 
 U256 State::sload(const Address& account, const U256& key) {
@@ -82,8 +106,11 @@ evm::ExecutionResult State::call(const evm::Message& message,
     }
   }
 
-  const Bytecode code = get_code(message.code_address);
-  if (code.empty()) {
+  // Held by pointer: the frame runs the stored code without copying it.
+  const Account* callee = find(message.code_address);
+  const std::shared_ptr<const Bytecode> code =
+      callee == nullptr ? empty_code() : callee->stored_code().code;
+  if (code->empty()) {
     // Calling an EOA or empty account succeeds immediately (pure transfer).
     result.status = evm::Status::kSuccess;
     return result;
@@ -91,7 +118,7 @@ evm::ExecutionResult State::call(const evm::Message& message,
 
   evm::Interpreter interpreter(block_);
   interpreter.set_trace(trace_);
-  result = interpreter.execute(message, code, *this, depth);
+  result = interpreter.execute(message, *code, *this, depth);
   if (!result.ok()) {
     rollback(before);
     logs_.resize(log_mark);
@@ -120,7 +147,7 @@ std::optional<Address> State::create(const Address& creator, const U256& value,
 
   // Collision with an existing contract account fails the create.
   if (const Account* existing = find(created);
-      existing != nullptr && (!existing->code.empty() || existing->nonce > 0)) {
+      existing != nullptr && (!existing->code().empty() || existing->nonce > 0)) {
     result.status = evm::Status::kRevert;
     rollback(before);
     return std::nullopt;
@@ -163,7 +190,7 @@ void State::selfdestruct(const Address& contract, const Address& beneficiary) {
   }
   Account& acct = touch(contract);
   acct.balance = U256();
-  acct.code = Bytecode();
+  acct.stored_ = StoredCode{};
   acct.storage.clear();
 }
 
@@ -204,7 +231,7 @@ Address State::install_code(const Address& creator, Bytecode runtime_code) {
   const Address address = evm::derive_contract_address(creator, nonce);
   Account& acct = touch(address);
   acct.nonce = 1;
-  acct.code = std::move(runtime_code);
+  acct.stored_ = intern(std::move(runtime_code));
   return address;
 }
 

@@ -5,10 +5,18 @@
 // call frame snapshots state, and a revert/failure in the callee rolls back
 // exactly that frame's writes — the behaviour the paper's phishing patterns
 // (approval sweeps behind a dispatcher) rely on.
+//
+// Code is content-addressed, as in a real node's code database: the state
+// keeps each distinct runtime code once, keyed by its Keccak hash, and an
+// account holds that hash plus a shared pointer to the one copy. Clones of
+// one code (minimal-proxy armies) share it, a call frame's snapshot copies
+// pointers instead of bytes, and a reader hands the code on without copying
+// or hashing it again.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -36,11 +44,30 @@ struct U256Hash {
   }
 };
 
+/// The empty code every account starts with, shared by all of them.
+const std::shared_ptr<const Bytecode>& empty_code();
+/// keccak256 of the empty byte string: the code hash of a codeless account.
+const evm::Hash256& empty_code_hash();
+
+/// An account's code as the chain stores it: the Keccak hash kept with the
+/// account and the state's one shared copy of the bytes (never null).
+struct StoredCode {
+  evm::Hash256 hash = empty_code_hash();
+  std::shared_ptr<const Bytecode> code = empty_code();
+};
+
 struct Account {
   U256 balance;
   std::uint64_t nonce = 0;
-  Bytecode code;
   std::unordered_map<U256, U256, U256Hash> storage;
+
+  const Bytecode& code() const { return *stored_.code; }
+  const StoredCode& stored_code() const { return stored_; }
+
+ private:
+  // Written only by State, which keeps the hash and the bytes in step.
+  friend class State;
+  StoredCode stored_;
 };
 
 class State final : public evm::Host {
@@ -85,6 +112,8 @@ class State final : public evm::Host {
   // --- Host interface ------------------------------------------------------
   U256 get_balance(const Address& account) override;
   Bytecode get_code(const Address& account) override;
+  /// The stored hash; never hashes the code again.
+  evm::Hash256 code_hash(const Address& account) override;
   U256 sload(const Address& account, const U256& key) override;
   void sstore(const Address& account, const U256& key,
               const U256& value) override;
@@ -109,7 +138,15 @@ class State final : public evm::Host {
   Snapshot snapshot() const { return accounts_; }
   void rollback(Snapshot snapshot) { accounts_ = std::move(snapshot); }
 
+  /// The store entry for `code`, adding it when new. Codes are never
+  /// removed, so an entry outlives every account and snapshot that points
+  /// at it (a rolled-back CREATE leaves its code behind, unreferenced).
+  StoredCode intern(Bytecode code);
+
   std::map<Address, Account> accounts_;
+  std::unordered_map<evm::Hash256, std::shared_ptr<const Bytecode>,
+                     evm::DigestHash>
+      codes_;
   std::vector<evm::LogEntry> logs_;
   evm::BlockContext block_;
   evm::TraceSink* trace_ = nullptr;

@@ -56,18 +56,6 @@ struct U256Hash {
   }
 };
 
-/// Hash for code-hash keys; leading keccak bytes are uniform already.
-struct CodeHashHash {
-  std::size_t operator()(const evm::Hash256& hash) const {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(hash[static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    return static_cast<std::size_t>(v);
-  }
-};
-
 }  // namespace detail
 
 // --- opcode histograms -------------------------------------------------------
@@ -181,7 +169,7 @@ class FrequencyEncoder {
   /// Interned per-code pixel streams for the fitted corpus, keyed by code
   /// hash (computed once per fit pass).
   std::unordered_map<evm::Hash256, std::vector<std::array<float, 3>>,
-                     detail::CodeHashHash>
+                     evm::DigestHash>
       fit_cache_;
 };
 

@@ -80,6 +80,9 @@ class Host {
 
   virtual U256 get_balance(const Address& account) = 0;
   virtual Bytecode get_code(const Address& account) = 0;
+  /// Keccak-256 of the account's code, as the account stores it
+  /// (EXTCODEHASH); the empty-code hash for an account without code.
+  virtual Hash256 code_hash(const Address& account) = 0;
   virtual U256 sload(const Address& account, const U256& key) = 0;
   virtual void sstore(const Address& account, const U256& key,
                       const U256& value) = 0;

@@ -456,7 +456,7 @@ ExecutionResult Interpreter::execute_impl(const Message& message,
         if (!f.host.account_exists(addr)) {
           (void)f.stack.push(U256());
         } else {
-          (void)f.stack.push(U256::from_bytes_be(f.host.get_code(addr).code_hash()));
+          (void)f.stack.push(U256::from_bytes_be(f.host.code_hash(addr)));
         }
         break;
       }

@@ -22,6 +22,19 @@ Hash256 keccak256(const std::string& data);
 /// Lowercase hex (no prefix) of a digest; handy for map keys and logs.
 std::string hash_to_hex(const Hash256& hash);
 
+/// Hash functor for digest-keyed maps: a Keccak digest's leading bytes are
+/// uniform already, so the first eight are the bucket hash as they stand.
+struct DigestHash {
+  std::size_t operator()(const Hash256& digest) const {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(digest[static_cast<std::size_t>(i)])
+           << (8 * i);
+    }
+    return static_cast<std::size_t>(v);
+  }
+};
+
 /// Incremental Keccak-256 for streaming inputs (dataset-scale hashing).
 class Keccak256 {
  public:

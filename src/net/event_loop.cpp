@@ -107,12 +107,19 @@ void EventLoop::remove_fd(int fd) {
 }
 
 void EventLoop::post(Task task) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(task_mutex_);
     tasks_.push_back(std::move(task));
+    // The loop thread drains before it next blocks, and a pending wake
+    // already makes epoll_wait return: either way one more write is waste.
+    wake = !wake_pending_ && std::this_thread::get_id() != loop_thread_;
+    wake_pending_ = wake_pending_ || wake;
   }
-  const std::uint64_t one = 1;
-  (void)!::write(wake_fd_, &one, sizeof(one));
+  if (wake) {
+    const std::uint64_t one = 1;
+    (void)!::write(wake_fd_, &one, sizeof(one));
+  }
 }
 
 void EventLoop::stop() {
@@ -130,20 +137,34 @@ void EventLoop::set_tick(std::uint64_t period_ms, Task tick) {
 }
 
 void EventLoop::drain_tasks() {
-  // Swap out under the lock, run unlocked: a task may post() again.
+  // Swap out under the lock, run unlocked: a task may post() again, and
+  // from this thread that post wrote no eventfd, so go round until empty.
   std::deque<Task> batch;
-  {
-    std::lock_guard<std::mutex> lock(task_mutex_);
-    batch.swap(tasks_);
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(task_mutex_);
+      batch.swap(tasks_);
+      // Posts from here on must wake the loop; any write still unread only
+      // makes the next epoll_wait return early.
+      wake_pending_ = false;
+    }
+    if (batch.empty()) return;
+    for (Task& task : batch) task();
+    batch.clear();
   }
-  for (Task& task : batch) task();
 }
 
 void EventLoop::run() {
+  {
+    std::lock_guard<std::mutex> lock(task_mutex_);
+    loop_thread_ = std::this_thread::get_id();
+  }
   std::vector<epoll_event> events(64);
   const int timeout_ms =
       tick_period_ms_ == 0 ? -1 : static_cast<int>(tick_period_ms_);
   while (true) {
+    // Before blocking: every task posted so far, by any thread or task.
+    drain_tasks();
     {
       std::lock_guard<std::mutex> lock(task_mutex_);
       if (stop_requested_) break;
@@ -170,7 +191,6 @@ void EventLoop::run() {
       FdHandler handler = it->second;
       handler(events[i].events);
     }
-    drain_tasks();
     if (tick_) tick_();
     if (n == static_cast<int>(events.size())) {
       events.resize(events.size() * 2);

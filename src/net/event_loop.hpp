@@ -14,7 +14,9 @@
 // cross-thread entry points are post() — enqueue a task and wake the loop
 // via eventfd — and stop(). Everything a completion thread wants to do to
 // a connection goes through post(), so connection state needs no locks at
-// all.
+// all. The loop runs every queued task, including tasks those tasks post,
+// before each epoll_wait, so a post() from the loop thread itself, or one
+// made while an earlier wake is still pending, writes no eventfd.
 //
 // fd-reuse caveat: a handler that closes fd A while fd B's event from the
 // same epoll batch is still pending can see B's number reused. Handlers
@@ -27,6 +29,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 
 namespace phishinghook::net {
@@ -53,9 +56,10 @@ class EventLoop {
   /// Deregisters; pending events for the fd are dropped. Loop thread only.
   void remove_fd(int fd);
 
-  /// Enqueues a task onto the loop thread and wakes it. Thread-safe;
-  /// callable before run() and after stop() (tasks posted after the final
-  /// drain are discarded when the loop destructs).
+  /// Enqueues a task onto the loop thread, waking it when it may be
+  /// blocked in epoll_wait. Thread-safe; callable before run() and after
+  /// stop() (tasks posted after the final drain are discarded when the
+  /// loop destructs).
   void post(Task task);
 
   /// Runs until stop(); dispatches fd events, posted tasks, and the tick.
@@ -70,6 +74,7 @@ class EventLoop {
   void set_tick(std::uint64_t period_ms, Task tick);
 
  private:
+  /// Runs queued tasks until the queue stays empty.
   void drain_tasks();
 
   int epoll_fd_ = -1;
@@ -79,6 +84,10 @@ class EventLoop {
   std::mutex task_mutex_;
   std::deque<Task> tasks_;
   bool stop_requested_ = false;  ///< guarded by task_mutex_
+  /// The eventfd was written since the loop last took the task queue;
+  /// guarded by task_mutex_.
+  bool wake_pending_ = false;
+  std::thread::id loop_thread_;  ///< set by run(); guarded by task_mutex_
 
   std::uint64_t tick_period_ms_ = 0;
   Task tick_;

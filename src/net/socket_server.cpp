@@ -102,10 +102,11 @@ void SocketServer::accept_ready() {
     Connection& conn = conns_[id];
     conn.id = id;
     conn.fd = fd;
+    conn.events = EPOLLIN;
     conn.last_activity = std::chrono::steady_clock::now();
     connection_count_.store(conns_.size(), std::memory_order_relaxed);
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    loop_.add_fd(fd, EPOLLIN, [this, id](std::uint32_t events) {
+    loop_.add_fd(fd, conn.events, [this, id](std::uint32_t events) {
       connection_event(id, events);
     });
     on_open(conn);
@@ -200,6 +201,8 @@ void SocketServer::flush(Connection& conn) {
 void SocketServer::update_interest(Connection& conn) {
   std::uint32_t events = EPOLLIN;
   if (conn.out_offset < conn.out.size()) events |= EPOLLOUT;
+  if (events == conn.events) return;
+  conn.events = events;
   loop_.set_events(conn.fd, events);
 }
 

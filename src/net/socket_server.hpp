@@ -58,6 +58,9 @@ class SocketServer {
     std::string out;           ///< bytes queued, not yet sent
     std::size_t out_offset = 0;
     bool close_after_flush = false;
+    /// Interest mask registered with the loop (EPOLLIN, plus EPOLLOUT
+    /// while bytes wait); kept so an unchanged mask costs no epoll_ctl.
+    std::uint32_t events = 0;
     std::chrono::steady_clock::time_point last_activity;
     /// Protocol scratch (HTTP parse state, in-flight flag, ...).
     std::shared_ptr<void> user;

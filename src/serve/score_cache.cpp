@@ -41,12 +41,12 @@ std::size_t ShardedScoreCache::shard_index(
 }
 
 std::optional<CachedScore> ShardedScoreCache::get(
-    const evm::Hash256& code_hash) {
+    const evm::Hash256& code_hash, bool count_miss) {
   Shard& shard = shards_[shard_index(code_hash)];
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(code_hash);
   if (it == shard.index.end()) {
-    ++shard.misses;
+    if (count_miss) ++shard.misses;
     return std::nullopt;
   }
   ++shard.hits;

@@ -61,8 +61,11 @@ class ShardedScoreCache {
   ShardedScoreCache& operator=(const ShardedScoreCache&) = delete;
 
   /// Score previously stored for `code_hash`, refreshing its LRU
-  /// position; nullopt on miss. Counts a hit or a miss.
-  std::optional<CachedScore> get(const evm::Hash256& code_hash);
+  /// position; nullopt on miss. Counts a hit, and a miss unless
+  /// `count_miss` is false: a caller that will look a missed hash up again
+  /// (and count that lookup) passes false, so each request counts once.
+  std::optional<CachedScore> get(const evm::Hash256& code_hash,
+                                 bool count_miss = true);
 
   /// Inserts (or refreshes) a score, evicting the shard's least recently
   /// used entry when the shard is full.
@@ -93,21 +96,13 @@ class ShardedScoreCache {
   };
   using LruList = std::list<Entry>;
 
-  /// Map hash: the key is already a Keccak digest, so the leading 8 bytes
-  /// are uniform — no re-mixing needed. (Shard selection uses *different*
-  /// bytes; see shard_index.)
-  struct KeyHash {
-    std::size_t operator()(const evm::Hash256& h) const {
-      std::uint64_t v = 0;
-      for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(h[i]) << (8 * i);
-      return static_cast<std::size_t>(v);
-    }
-  };
-
   struct Shard {
     mutable std::mutex mutex;
     LruList lru;  // front = most recent
-    std::unordered_map<evm::Hash256, LruList::iterator, KeyHash> index;
+    // Keyed on the digest's leading bytes; shard selection uses
+    // *different* bytes (see shard_index).
+    std::unordered_map<evm::Hash256, LruList::iterator, evm::DigestHash>
+        index;
     std::size_t capacity = 0;  ///< this shard's slice of the entry budget
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

@@ -14,20 +14,6 @@
 
 namespace phishinghook::serve {
 
-namespace {
-/// Map hash for within-batch dedup; leading digest bytes are uniform.
-struct DigestHash {
-  std::size_t operator()(const evm::Hash256& h) const {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(h[i]) << (8 * i);
-    }
-    return static_cast<std::size_t>(v);
-  }
-};
-
-}  // namespace
-
 const char* to_string(ScoreStatus status) {
   switch (status) {
     case ScoreStatus::kOk: return "ok";
@@ -42,7 +28,7 @@ const char* to_string(ScoreStatus status) {
 
 ScoringEngine::ScoringEngine(const chain::Explorer& explorer,
                              ml::Scorer& detector, EngineConfig config)
-    : bem_(explorer),
+    : explorer_(&explorer),
       detector_(&detector),
       config_(config),
       cache_(config.cache_capacity, config.cache_shards) {
@@ -137,10 +123,6 @@ bool ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
     wave[i].index = i;
     wave[i].ctx = ctx.valid() ? ctx : obs::mint_request(tracer);
   }
-  // Restamp the hand-off: from here queue-wait means *this* queue, not
-  // whatever upstream hop the context already traveled.
-  const double handoff_us = tracer.now_us();
-  std::size_t admitted = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -150,7 +132,30 @@ bool ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
       for (Request& request : wave) obs::finish_request(request.ctx, tracer);
       return false;
     }
-    for (Request& request : wave) {
+  }
+  metrics_.requests_submitted.inc(wave.size());
+
+  // Probe the whole wave before queueing any of it: whether a row is a hit
+  // then depends on the cache as the wave found it, not on how fast the
+  // workers drain the wave's own earlier rows.
+  std::vector<Request> misses;
+  misses.reserve(wave.size());
+  for (Request& request : wave) {
+    if (!answer_from_cache(request)) misses.push_back(std::move(request));
+  }
+
+  // Restamp the hand-off: from here queue-wait means *this* queue, not
+  // whatever upstream hop the context already traveled.
+  const double handoff_us = tracer.now_us();
+  std::size_t admitted = 0;
+  bool stopping = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // shutdown() may have begun while the wave was probed, and its workers
+    // may already have drained and left: queue nothing then.
+    stopping = stopping_;
+    for (Request& request : misses) {
+      if (stopping) break;
       if (config_.max_queue != 0 && queue_.size() >= config_.max_queue) break;
       request.ctx.handoff_us = handoff_us;
       queue_.push_back(std::move(request));
@@ -158,7 +163,6 @@ bool ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
     }
     metrics_.queue_depth.set(static_cast<double>(queue_.size()));
   }
-  metrics_.requests_submitted.inc(wave.size());
   // One worker per batch's worth of rows (a 64-row wave wakes two workers
   // that each take a full batch), and never fewer than two: a sleeping
   // worker's CPU may be idle, and on a VM waking it waits on the host
@@ -171,13 +175,43 @@ bool ScoringEngine::try_submit_many(std::span<const evm::Address> addresses,
   }
   // Reject-on-full: complete right here instead of letting the queue grow
   // without bound — the caller learns immediately and can back off.
-  for (std::size_t i = admitted; i < wave.size(); ++i) {
+  for (std::size_t i = admitted; i < misses.size(); ++i) {
     ScoreResult shed;
     shed.status = ScoreStatus::kShed;
-    shed.error = "queue full (max_queue=" +
-                 std::to_string(config_.max_queue) + ")";
-    deliver(wave[i], std::move(shed));
+    shed.error = stopping ? "scoring engine is shutting down"
+                          : "queue full (max_queue=" +
+                                std::to_string(config_.max_queue) + ")";
+    deliver(misses[i], std::move(shed));
   }
+  return true;
+}
+
+bool ScoringEngine::answer_from_cache(Request& request) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  const double start_us = tracer.now_us();
+  std::optional<chain::StoredCode> stored;
+  try {
+    stored = explorer_->stored_code(request.address, chain::ReadMode::kTry);
+  } catch (...) {
+    return false;  // a faulting fetch is the worker's, with its retries
+  }
+  if (!stored || stored->code->empty()) return false;
+  // A miss is not counted here: the worker probes the row again, and
+  // counts that probe.
+  const std::optional<CachedScore> cached =
+      cache_.get(stored->hash, /*count_miss=*/false);
+  if (!cached) return false;
+  const double end_us = tracer.now_us();
+  metrics_.stage_queue_wait.record(0.0);
+  metrics_.stage_extract.record(end_us - start_us);
+  obs::stage_slice(request.ctx, "req.extract", start_us, end_us, tracer);
+  ScoreResult result;
+  result.cache_hit = true;
+  result.probability = cached->probability;
+  result.flagged = result.probability >= 0.5;
+  result.stage = cached->stage;
+  result.model = detector_->stage_model(cached->stage);
+  deliver(request, std::move(result));
   return true;
 }
 
@@ -233,9 +267,11 @@ std::vector<ScoringEngine::Request> ScoringEngine::next_batch() {
   return batch;
 }
 
-evm::Bytecode ScoringEngine::extract_code(const evm::Address& address) {
+chain::StoredCode ScoringEngine::fetch_code(const evm::Address& address) {
+  // A waiting read always yields a value; value() turns a subclass that
+  // breaks that promise into an extract error, not a crash.
   return config_.extract_retry.run(
-      [&] { return bem_.extract(address).code; },
+      [&] { return explorer_->stored_code(address).value(); },
       /*salt=*/static_cast<std::uint64_t>(std::hash<evm::Address>{}(address)),
       [this] { metrics_.retries.inc(); });
 }
@@ -281,13 +317,13 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
       [this](double s) { metrics_.batch_latency.record(s * 1e6); });
 
   struct Slot {
-    evm::Bytecode code;
-    evm::Hash256 hash{};
+    chain::StoredCode stored;  ///< the code and the hash read with it
     double probability = 0.0;
     std::uint32_t stage = 0;
     ScoreStatus status = ScoreStatus::kOk;
     std::string error;
     bool cache_hit = false;
+    bool handed_off = false;  ///< answered by the worker scoring its code
   };
   std::vector<Slot> slots(live.size());
 
@@ -295,18 +331,19 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
   // each unique miss costs exactly one model row. Extraction is per-slot
   // fault-isolated: one hostile address fails its own slot, never the
   // batch, never the worker.
-  std::unordered_map<evm::Hash256, std::size_t, DigestHash> miss_index;
+  std::unordered_map<evm::Hash256, std::size_t, evm::DigestHash> miss_index;
   std::vector<const evm::Bytecode*> miss_codes;
   std::vector<std::vector<std::size_t>> miss_slots;
+  std::vector<std::size_t> unscored;
   obs::ScopedSpan extract_span("serve.extract");
   for (std::size_t i = 0; i < live.size(); ++i) {
     Slot& slot = slots[i];
-    // Per-slot service timing: fetch + hash + cache probe is the extract
-    // stage this request experienced, whatever its outcome.
+    // Per-slot service timing: fetch + cache probe is the extract stage
+    // this request experienced, whatever its outcome.
     const double slot_start_us = tracer.now_us();
     [&] {
       try {
-        slot.code = extract_code(live[i].address);
+        slot.stored = fetch_code(live[i].address);
       } catch (const std::exception& e) {
         slot.status = ScoreStatus::kExtractError;
         slot.error = e.what();
@@ -316,25 +353,22 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
         slot.error = "unknown extract error";
         return;
       }
-      if (slot.code.empty()) {
+      if (slot.stored.code->empty()) {
         slot.status = ScoreStatus::kEmptyCode;
         metrics_.empty_code_requests.inc();
         return;
       }
-      slot.hash = slot.code.code_hash();
-      if (const std::optional<CachedScore> cached = cache_.get(slot.hash)) {
+      // Probed again even if the submission probe missed: an earlier
+      // batch may have cached this code while the row queued. A miss is
+      // counted when the row is claimed below.
+      if (const std::optional<CachedScore> cached =
+              cache_.get(slot.stored.hash, /*count_miss=*/false)) {
         slot.probability = cached->probability;
         slot.stage = cached->stage;
         slot.cache_hit = true;
         return;
       }
-      const auto [it, inserted] = miss_index.try_emplace(slot.hash,
-                                                         miss_codes.size());
-      if (inserted) {
-        miss_codes.push_back(&slot.code);
-        miss_slots.emplace_back();
-      }
-      miss_slots[it->second].push_back(i);
+      unscored.push_back(i);
     }();
     const double slot_end_us = tracer.now_us();
     metrics_.stage_extract.record(slot_end_us - slot_start_us);
@@ -343,6 +377,42 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
   }
   extract_span.end();
 
+  // Claim the missed hashes under one lock. A hash another worker is
+  // scoring right now is handed to that worker, which answers the row once
+  // the score lands, so a burst of one new code across concurrent batches
+  // costs one model row. Otherwise the row probes once more, counted (the
+  // score may have landed since the first probe), and on a miss this
+  // batch scores it.
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    for (const std::size_t i : unscored) {
+      Slot& slot = slots[i];
+      const evm::Hash256& hash = slot.stored.hash;
+      if (!miss_index.contains(hash)) {
+        if (const auto it = inflight_.find(hash); it != inflight_.end()) {
+          it->second.push_back(std::move(live[i]));
+          slot.handed_off = true;
+          continue;
+        }
+      }
+      if (const std::optional<CachedScore> cached = cache_.get(hash)) {
+        slot.probability = cached->probability;
+        slot.stage = cached->stage;
+        slot.cache_hit = true;
+        continue;
+      }
+      const auto [it, inserted] = miss_index.try_emplace(hash,
+                                                         miss_codes.size());
+      if (inserted) {
+        miss_codes.push_back(slot.stored.code.get());
+        miss_slots.emplace_back();
+        inflight_.try_emplace(hash);
+      }
+      miss_slots[it->second].push_back(i);
+    }
+  }
+
+  std::vector<std::vector<Request>> handed(miss_codes.size());
   if (!miss_codes.empty()) {
     std::vector<ml::ScoredRow> rows(miss_codes.size());
     bool scored = false;
@@ -377,8 +447,9 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
         // not cached: the next request for this code hash retries the
         // heavy stage instead of pinning the fallback until eviction.
         if (!rows[u].degraded) {
-          // Key by the digest the probe already computed: no second Keccak.
-          cache_.put(slots[miss_slots[u].front()].hash,
+          // Keyed by the hash read together with the scored code, never
+          // by the hash the submission probe read.
+          cache_.put(slots[miss_slots[u].front()].stored.hash,
                      CachedScore{rows[u].probability, rows[u].stage});
         }
         for (std::size_t slot_id : miss_slots[u]) {
@@ -399,21 +470,43 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
         }
       }
     }
+    // Release the claims after the cache fill, so a row that finds a hash
+    // no longer claimed finds its score cached (unless it failed or was
+    // degraded, which the next batch retries). Each claim is this batch's
+    // alone: the claim check and the insert above share the lock.
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    for (std::size_t u = 0; u < miss_codes.size(); ++u) {
+      auto node = inflight_.extract(slots[miss_slots[u].front()].stored.hash);
+      handed[u] = std::move(node.mapped());
+    }
   }
 
-  for (std::size_t i = 0; i < live.size(); ++i) {
+  const auto result_of = [this](const Slot& slot) {
     ScoreResult result;
-    result.status = slots[i].status;
-    result.cache_hit = slots[i].cache_hit;
-    result.error = std::move(slots[i].error);
-    if (slots[i].status == ScoreStatus::kOk ||
-        slots[i].status == ScoreStatus::kDegraded) {
-      result.probability = slots[i].probability;
+    result.status = slot.status;
+    result.cache_hit = slot.cache_hit;
+    result.error = slot.error;
+    if (slot.status == ScoreStatus::kOk ||
+        slot.status == ScoreStatus::kDegraded) {
+      result.probability = slot.probability;
       result.flagged = result.probability >= 0.5;
-      result.stage = slots[i].stage;
-      result.model = detector_->stage_model(slots[i].stage);
+      result.stage = slot.stage;
+      result.model = detector_->stage_model(slot.stage);
     }
-    deliver(live[i], std::move(result));
+    return result;
+  };
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (!slots[i].handed_off) deliver(live[i], result_of(slots[i]));
+  }
+  // A handed-over row gets the score it waited for, and its counted probe
+  // is made now that the score has landed in the cache.
+  for (std::size_t u = 0; u < miss_codes.size(); ++u) {
+    const Slot& owner = slots[miss_slots[u].front()];
+    for (Request& request : handed[u]) {
+      ScoreResult result = result_of(owner);
+      result.cache_hit = cache_.get(owner.stored.hash).has_value();
+      deliver(request, std::move(result));
+    }
   }
 }
 

@@ -2,18 +2,39 @@
 //
 // The deployment scenario (§IV-F) is a stream of addresses arriving from
 // wallets and monitors that must be answered within a signing budget of
-// seconds. The engine accepts addresses on any number of producer threads,
-// queues them, and has a worker pool drain the queue in batches:
+// seconds. Most of that traffic re-asks about contracts already scored, so
+// the engine answers cache hits on the submitting thread and queues the
+// rest for a worker pool that drains the queue in batches:
 //
-//   try_submit_many(addrs, on_done) -> [bounded queue]
+//   try_submit_many(addrs, on_done)
+//     -> probe, on the caller: stored code hash (try-lock) -> score cache?
+//          hit: on_done(row, result) right there, no queue, no wake
+//     -> miss / fault / busy chain lock: [bounded queue]
 //     -> worker: shed expired deadlines
-//     -> BEM eth_getCode (retried) -> code hash -> score cache?
-//     -> one score_batch per batch -> cache fill -> on_done(row, result)
+//     -> stored code + hash (retried) -> score cache?
+//          code another worker is scoring: handed to that worker
+//     -> one score_batch per batch -> cache fill
+//     -> on_done(row, result)
 //
-// Completion is one mechanism, a callback per row run on the worker that
-// finished it: the socket front end replies from it, the stream pipeline
-// tallies in it, and submit/try_submit (futures) and score_all are thin
-// adapters over it.
+// Completion is one mechanism, a callback per row, run on whichever thread
+// finished the row: the submitting thread for a cache hit or a row shed at
+// admission, a worker otherwise. The socket front end replies from it, the
+// stream pipeline tallies in it, and submit/try_submit (futures) and
+// score_all are thin adapters over it.
+//
+// The chain is content-addressed (chain::State keeps each code once, keyed
+// by its Keccak hash, and every account stores its hash), so the probe
+// reads a stored hash and a pointer; nothing is copied or hashed per
+// request. A row the probe missed is probed again by its worker, which
+// finds the scores that earlier batches cached while the row queued (a
+// burst of repeats of one new code misses at submission, then hits). A
+// code that another worker is scoring at that moment is not scored twice:
+// the row is handed to that worker, which answers it when the score lands.
+// The submission probe counts only its hits, so each row counts once in
+// the cache stats. The worker keys the cache only by the hash it fetched
+// together with the code: if the account's code changed in between (a
+// metamorphic contract redeployed at the same address), the new code is
+// probed and scored under its own hash.
 //
 // The detector is any ml::Scorer — a single fitted model of any family,
 // or a composite like serve::CascadeScorer. Batching exists because
@@ -42,7 +63,8 @@
 // results — and a failing *heavy* cascade
 // stage downgrades its rows to the stage-0 score (kDegraded, not cached)
 // instead of failing them. Overload is handled by
-// admission control (`max_queue`, reject-on-full) and per-request
+// admission control (`max_queue`, reject-on-full, counted on queued rows
+// only: a cache hit never queues and so is never shed) and per-request
 // deadlines (`deadline_us`, expired requests shed before batching), both
 // reported through the kShed status rather than silent drops:
 // requests_completed + requests_failed + requests_shed always equals
@@ -65,11 +87,12 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "chain/explorer.hpp"
 #include "common/retry.hpp"
 #include "common/timer.hpp"
-#include "core/bem.hpp"
 #include "ml/scorer.hpp"
 #include "obs/request_context.hpp"
 #include "serve/metrics.hpp"
@@ -85,8 +108,9 @@ struct EngineConfig {
   std::size_t cache_capacity = 1 << 16;
   std::size_t cache_shards = 16;
   /// Admission control: maximum queued (not yet batched) requests.
-  /// 0 = unbounded. A submit against a full queue resolves immediately
-  /// with ScoreStatus::kShed instead of queueing.
+  /// 0 = unbounded. A row that must queue against a full queue resolves
+  /// immediately with ScoreStatus::kShed; cache hits answered at
+  /// submission never queue and are never shed.
   std::size_t max_queue = 0;
   /// Per-request deadline measured from submit(); 0 = none. Requests still
   /// queued past their deadline are shed (kShed) before any extract or
@@ -122,7 +146,8 @@ struct ScoreResult {
   std::string model;          ///< model behind that stage, "" if unscored
   std::string error;          ///< diagnostic, empty when ok/empty_code
   double latency_us = 0.0;    ///< submit -> completion
-  double queue_wait_us = 0.0;  ///< time parked in the engine queue
+  double queue_wait_us = 0.0;  ///< time parked in the engine queue (0 for
+                               ///< a hit answered at submission)
   std::uint64_t trace_id = 0;  ///< causal id; nonzero once a ctx was minted
 
   /// The request produced a usable score (kOk, a kDegraded fallback, or
@@ -149,21 +174,30 @@ class ScoringEngine {
   ScoringEngine& operator=(const ScoringEngine&) = delete;
 
   /// Runs once per admitted row, with the row's index in the submitted
-  /// list, on the worker that finished it (or on the submitting thread for
-  /// a row shed at admission). Must neither block nor throw.
+  /// list, on the thread that finished the row: a worker, or the
+  /// submitting thread itself — inside try_submit_many — for a cache hit
+  /// answered at submission or a row shed at admission. So it must neither
+  /// block, nor throw, nor take a lock the submitting thread may hold
+  /// while it calls try_submit_many.
   using Completion = std::function<void(std::size_t index, ScoreResult result)>;
 
-  /// The admission primitive: admits a whole list as one wave, under one
-  /// lock, and returns true; `on_done` then runs once per row. Returns
-  /// false once shutdown() began (no row admitted, no counter moved,
-  /// `on_done` never run). Rows are admitted in order while the queue has
-  /// room (`max_queue`); the rest complete at once with kShed ("queue
-  /// full"). One worker is woken per `max_batch` admitted rows, and never
-  /// fewer than two, so a lone row waits for the faster of two wakes. A
-  /// valid ctx (a causal lane begun upstream: follower, load generator,
-  /// socket) is shared by every row; otherwise each row mints its own.
-  /// The hand-off stamp is refreshed at enqueue, so queue-wait attribution
-  /// measures *this* queue only.
+  /// The admission primitive: admits a whole list as one wave and returns
+  /// true; `on_done` then runs once per row. Returns false once shutdown()
+  /// began (no row admitted or answered, no counter moved, `on_done` never
+  /// run). Every row is first probed on the calling thread — the account's
+  /// stored code hash, read without waiting for the chain lock, then the
+  /// score cache — and a hit completes there with `cache_hit`, a zero
+  /// queue wait and a latency timed from entry. The other rows (misses,
+  /// fetch faults, a busy chain lock, empty code) are queued under one
+  /// lock, in order, while the queue has room (`max_queue`); the rest
+  /// complete at once with kShed ("queue full"; "scoring engine is
+  /// shutting down" if shutdown() began while the wave was probed). One
+  /// worker is woken per `max_batch` queued rows, and never fewer than
+  /// two, so a lone row waits for the faster of two wakes. A valid ctx (a
+  /// causal lane begun upstream: follower, load generator, socket) is
+  /// shared by every row; otherwise each row mints its own. The hand-off
+  /// stamp is refreshed at enqueue, so queue-wait attribution measures
+  /// *this* queue only.
   bool try_submit_many(std::span<const evm::Address> addresses,
                        obs::RequestContext ctx, Completion on_done);
 
@@ -224,27 +258,34 @@ class ScoringEngine {
     evm::Address address;
     std::shared_ptr<const Completion> on_done;  ///< shared by the wave
     std::size_t index = 0;       ///< row position in the submitted list
-    common::Timer queued;        ///< starts at admission
+    common::Timer queued;        ///< starts on entry to try_submit_many
     obs::RequestContext ctx;     ///< causal identity, hand-off restamped
     double queue_wait_us = 0.0;  ///< filled when the batch pops it
   };
 
   void worker_loop();
   /// Pops whatever is queued, up to max_batch requests, as soon as the
-  /// queue is non-empty. Returns an empty batch only when stopping.
+  /// queue is non-empty. Returns an empty batch only when stopping and
+  /// drained.
   std::vector<Request> next_batch();
   void process_batch(std::vector<Request> batch);
 
-  /// eth_getCode through the BEM with the configured transient-fault
-  /// retry schedule.
-  evm::Bytecode extract_code(const evm::Address& address);
+  /// The submission probe: answers `request` from the score cache on the
+  /// calling thread and returns true, or returns false for the queue to
+  /// handle. Counts only a hit in the cache stats: the worker's probe
+  /// counts the rest.
+  bool answer_from_cache(Request& request);
+
+  /// The account's stored code and hash, with the configured
+  /// transient-fault retry schedule.
+  chain::StoredCode fetch_code(const evm::Address& address);
 
   /// Completes one request: stamps address + latency, records the latency
   /// histogram and the completed/failed/shed counter for the status, and
   /// runs the row's completion.
   void deliver(Request& request, ScoreResult result);
 
-  core::BytecodeExtractionModule bem_;
+  const chain::Explorer* explorer_;
   ml::Scorer* detector_;
   EngineConfig config_;
 
@@ -255,6 +296,12 @@ class ScoringEngine {
   std::condition_variable queue_cv_;
   std::deque<Request> queue_;
   bool stopping_ = false;
+
+  /// Code hashes a worker is scoring right now, each with the rows of
+  /// other batches that wait for that score (see process_batch).
+  std::mutex inflight_mutex_;
+  std::unordered_map<evm::Hash256, std::vector<Request>, evm::DigestHash>
+      inflight_;
 
   std::vector<std::thread> workers_;
 };

@@ -36,11 +36,13 @@ std::vector<chain::ContractRecord> BlockFollower::poll() {
     bool duplicate = false;
     bool hashed = false;
     try {
-      const evm::Bytecode code = explorer_->get_code(record.address);
-      if (code.empty()) {
+      // The stored hash comes with the code: no copy, no Keccak.
+      const chain::StoredCode stored =
+          explorer_->stored_code(record.address).value();
+      if (stored.code->empty()) {
         stats_.empty_code += 1;
       } else {
-        duplicate = !seen_.insert(code.code_hash()).second;
+        duplicate = !seen_.insert(stored.hash).second;
         hashed = true;
       }
     } catch (const TransientError&) {

@@ -6,9 +6,10 @@
 // ingest-lag metric — is measured against the head the records came from,
 // not a head that moved mid-read.
 //
-// Dedup is by *fetched* Keccak code hash, not the journal's recorded one:
-// the follower pulls bytecode through the explorer's (possibly
-// fault-injected) read path exactly as a production follower would hit a
+// Dedup is by the code hash *fetched* with the code (Explorer::stored_code),
+// not the journal's recorded one: the follower reads each account through
+// the explorer's (possibly fault-injected) read path exactly as a
+// production follower would hit a
 // node, so chaos decorators exercise the streaming path for free. By
 // default duplicates are still forwarded — dedup here is accounting (the
 // hit rate the paper's Fig. 2 duplication predicts), while the engine's
@@ -43,7 +44,7 @@ struct FollowerStats {
   std::uint64_t deployments_seen = 0;
   std::uint64_t dedup_unique = 0;  ///< first sighting of a code hash
   std::uint64_t dedup_hits = 0;    ///< repeat sightings
-  std::uint64_t code_faults = 0;   ///< TransientError from get_code
+  std::uint64_t code_faults = 0;   ///< TransientError from the code read
   std::uint64_t empty_code = 0;    ///< deployments with no runtime code
   std::uint64_t forwarded = 0;     ///< records returned to the caller
   std::uint64_t dropped = 0;       ///< suppressed by drop_duplicates
@@ -77,21 +78,11 @@ class BlockFollower {
   const FollowerStats& stats() const { return stats_; }
 
  private:
-  struct DigestHash {
-    std::size_t operator()(const evm::Hash256& h) const {
-      std::uint64_t v = 0;
-      for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(h[i]) << (8 * i);
-      }
-      return static_cast<std::size_t>(v);
-    }
-  };
-
   const chain::Explorer* explorer_;
   FollowerConfig config_;
   std::uint64_t cursor_ = 0;
   FollowerStats stats_;
-  std::unordered_set<evm::Hash256, DigestHash> seen_;
+  std::unordered_set<evm::Hash256, evm::DigestHash> seen_;
 };
 
 }  // namespace phishinghook::stream

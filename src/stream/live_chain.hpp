@@ -63,6 +63,18 @@ class LiveChain {
       std::lock_guard<std::mutex> lock(*mutex_);
       return inner_->get_code(address);
     }
+    /// A try-read gives up at once while the miner holds the lock.
+    std::optional<chain::StoredCode> stored_code(
+        const evm::Address& address,
+        chain::ReadMode mode = chain::ReadMode::kWait) const override {
+      std::unique_lock<std::mutex> lock(*mutex_, std::defer_lock);
+      if (mode == chain::ReadMode::kTry) {
+        if (!lock.try_lock()) return std::nullopt;
+      } else {
+        lock.lock();
+      }
+      return inner_->stored_code(address, mode);
+    }
     chain::ContractFlag flag_of(const evm::Address& address) const override {
       std::lock_guard<std::mutex> lock(*mutex_);
       return inner_->flag_of(address);

@@ -152,12 +152,13 @@ BuiltDataset DatasetBuilder::build() const {
       out.raw_phishing += 1;
       out.phishing_per_month[record->month.index] += 1;
     }
-    const Bytecode code = explorer.get_code(address);  // eth_getCode (BEM)
-    const std::string key = evm::hash_to_hex(code.code_hash());
+    // eth_getCode (BEM), with the code hash the chain stored at deployment.
+    const chain::StoredCode stored = explorer.stored_code(address).value();
+    const std::string key = evm::hash_to_hex(stored.hash);
     auto& bucket = phishing ? unique_phishing : unique_benign;
     if (bucket.contains(key)) continue;  // bit-by-bit duplicate
     LabeledContract sample;
-    sample.code = code;
+    sample.code = *stored.code;
     sample.phishing = phishing;
     sample.month = record->month;
     sample.address = address;

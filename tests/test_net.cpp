@@ -608,6 +608,42 @@ TEST_F(JsonRpcTest, ConcurrentClientsAllGetTheirOwnResponses) {
             static_cast<std::uint64_t>(kThreads * kRequests));
 }
 
+// A post() from the loop thread writes no eventfd, so the loop must run a
+// task posted by a task before it blocks again: with no tick and no fd
+// traffic, a stranded task would wait forever.
+TEST(EventLoopTasks, TaskPostedByATaskRunsWithoutAnotherWake) {
+  net::EventLoop loop;
+  std::thread runner([&] { loop.run(); });
+  std::mutex mutex;
+  std::condition_variable cv;
+  int ran = 0;
+  const auto note = [&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    ++ran;
+    cv.notify_all();
+  };
+  loop.post([&] {
+    loop.post([&] {
+      loop.post(note);
+      note();
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return ran == 2; }));
+  }
+  // Cross-thread posts still wake the loop, pending wake or not.
+  for (int i = 0; i < 100; ++i) loop.post(note);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return ran == 102; }));
+  }
+  loop.stop();
+  runner.join();
+}
+
 TEST(JsonRpcLifecycle, StartTwiceThrowsAndStopIsIdempotent) {
   net::JsonRpcServer server;
   server.start(0);

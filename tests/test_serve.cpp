@@ -12,18 +12,23 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "chain/chain_store.hpp"
 #include "common/binary_io.hpp"
 #include "common/timer.hpp"
+#include "core/bem.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/random_forest.hpp"
+#include "obs/trace.hpp"
 #include "serve/artifact.hpp"
 #include "serve/metrics.hpp"
 #include "serve/rpc_frontend.hpp"
@@ -161,6 +166,35 @@ class GatedScorer final : public ml::Scorer {
   std::condition_variable cv_;
   bool entered_ = false;
   bool open_ = false;
+};
+
+/// Redeploys `next` at `target` right after the first submission probe of
+/// it: the write lands between the probe and the worker's fetch, as a
+/// metamorphic contract's redeploy can.
+class RedeployAfterProbe final : public chain::Explorer {
+ public:
+  RedeployAfterProbe(chain::ChainStore& chain, const evm::Address& target,
+                     evm::Bytecode next)
+      : chain::Explorer(chain), chain_(&chain), plain_(chain),
+        target_(target), next_(std::move(next)) {}
+
+  std::optional<chain::StoredCode> stored_code(
+      const evm::Address& address,
+      chain::ReadMode mode = chain::ReadMode::kWait) const override {
+    std::optional<chain::StoredCode> read = plain_.stored_code(address, mode);
+    if (mode == chain::ReadMode::kTry && address == target_ &&
+        armed_.exchange(false)) {
+      chain_->state().set_code(address, next_);
+    }
+    return read;
+  }
+
+ private:
+  chain::ChainStore* chain_;
+  chain::Explorer plain_;
+  evm::Address target_;
+  evm::Bytecode next_;
+  mutable std::atomic<bool> armed_{true};
 };
 
 evm::Hash256 hash_of_byte(std::uint8_t b) {
@@ -349,6 +383,17 @@ TEST(ScoreCache, CountsHitsAndMisses) {
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 2.0 / 3.0);
 }
 
+TEST(ScoreCache, UncountedMissLeavesTheMissCountAlone) {
+  serve::ShardedScoreCache cache(8, 2);
+  const auto a = hash_of_byte(7);
+  EXPECT_FALSE(cache.get(a, /*count_miss=*/false).has_value());
+  EXPECT_EQ(cache.stats().misses, 0u);
+  cache.put(a, 0.5);
+  EXPECT_TRUE(cache.get(a, /*count_miss=*/false).has_value());
+  EXPECT_EQ(cache.stats().hits, 1u);  // hits are always counted
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
 // --- metrics -----------------------------------------------------------------
 
 TEST(Metrics, HistogramQuantilesBracketRecordedValues) {
@@ -524,20 +569,149 @@ TEST_F(ScoringEngineTest, MultiProducerMultiWorkerMatchesSingleThreaded) {
   }
 
   const std::vector<double> expected = direct_scores();
+  std::uint64_t hits = 0;
   for (int p = 0; p < kProducers; ++p) {
     ASSERT_EQ(per_producer[p].size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(per_producer[p][i].probability, expected[i])
           << "producer " << p << " address " << i;
+      hits += per_producer[p][i].cache_hit ? 1 : 0;
     }
   }
 
   // 4 producers x N addresses with heavy on-chain duplication: the cache
-  // must be carrying most of the load.
+  // must be carrying most of the load, whether a hit was answered at
+  // submission or by a worker that found a score cached while its row
+  // queued.
   const serve::CacheStats stats = engine.cache_stats();
   EXPECT_GT(stats.hits, stats.misses);
-  EXPECT_EQ(engine.metrics().requests_completed.value(),
-            static_cast<std::uint64_t>(kProducers) * addresses_.size());
+  // Each row counts once: a submission miss is counted by the worker.
+  const std::uint64_t rows =
+      static_cast<std::uint64_t>(kProducers) * addresses_.size();
+  EXPECT_EQ(stats.hits + stats.misses, rows);
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(engine.metrics().requests_completed.value(), rows);
+}
+
+// Two batches on two workers meet the same new code: the second hands its
+// row to the worker already scoring that code instead of running the model
+// on it again, and the row counts as the hit it becomes once the score
+// lands.
+TEST_F(ScoringEngineTest, CodeBeingScoredIsNotScoredAgainByAnotherWorker) {
+  chain::ChainStore chain;
+  const chain::Explorer explorer(chain);
+  const evm::Address deployer =
+      evm::Address::from_hex("0x00000000000000000000000000000000000000aa");
+  const evm::Bytecode& code = dataset().samples.front().code;
+  const evm::Address first_twin =
+      chain.register_contract(deployer, code).address;
+  const evm::Address second_twin =
+      chain.register_contract(deployer, code).address;
+
+  GatedScorer gated(*adapter_);
+  serve::EngineConfig config;
+  config.workers = 2;
+  serve::ScoringEngine engine(explorer, gated, config);
+  std::future<serve::ScoreResult> first = engine.submit(first_twin);
+  gated.wait_entered();
+  std::future<serve::ScoreResult> second = engine.submit(second_twin);
+  // Let the other worker fetch the twin and reach the claim.
+  const serve::ServiceMetrics& m = engine.metrics();
+  for (int spin = 0; spin < 5000 && m.stage_extract.count() < 2; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gated.open();
+
+  const serve::ScoreResult a = first.get();
+  const serve::ScoreResult b = second.get();
+  EXPECT_EQ(a.status, serve::ScoreStatus::kOk);
+  EXPECT_EQ(b.status, serve::ScoreStatus::kOk);
+  EXPECT_EQ(a.probability, b.probability);
+  EXPECT_FALSE(a.cache_hit);
+  EXPECT_TRUE(b.cache_hit);
+  EXPECT_EQ(m.model_rows.value(), 1u);
+  EXPECT_EQ(m.batches.value(), 2u);
+  const serve::CacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST_F(ScoringEngineTest, CacheHitIsAnsweredOnTheSubmittingThread) {
+  serve::EngineConfig config;
+  config.workers = 2;
+  serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
+  const evm::Address target = addresses_.front();
+  const serve::ScoreResult first = engine.submit(target).get();
+  ASSERT_FALSE(first.cache_hit);
+  const std::uint64_t batches = engine.metrics().batches.value();
+
+  struct Landed {
+    std::mutex mutex;
+    std::optional<serve::ScoreResult> result;
+    std::thread::id thread;
+  };
+  auto landed = std::make_shared<Landed>();
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.enable();
+  ASSERT_TRUE(engine.try_submit_many(
+      {&target, 1}, {}, [landed](std::size_t, serve::ScoreResult result) {
+        std::lock_guard<std::mutex> lock(landed->mutex);
+        landed->result = std::move(result);
+        landed->thread = std::this_thread::get_id();
+      }));
+  tracer.disable();
+  std::ostringstream trace;
+  tracer.write_chrome_trace(trace);
+  tracer.clear();
+
+  // Answered before try_submit_many returned, on this thread.
+  std::lock_guard<std::mutex> lock(landed->mutex);
+  ASSERT_TRUE(landed->result.has_value());
+  EXPECT_EQ(landed->thread, std::this_thread::get_id());
+  const serve::ScoreResult& hit = *landed->result;
+  EXPECT_EQ(hit.status, serve::ScoreStatus::kOk);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.probability, first.probability);
+  EXPECT_EQ(hit.model, first.model);
+  EXPECT_EQ(hit.address, target);
+  EXPECT_EQ(hit.queue_wait_us, 0.0);
+  EXPECT_GT(hit.latency_us, 0.0);
+  EXPECT_NE(hit.trace_id, 0u);
+
+  // Counted like any other row, and no worker was involved.
+  const serve::ServiceMetrics& m = engine.metrics();
+  EXPECT_EQ(m.requests_submitted.value(), 2u);
+  EXPECT_EQ(m.requests_submitted.value(),
+            m.requests_completed.value() + m.requests_failed.value() +
+                m.requests_shed.value());
+  EXPECT_EQ(m.batches.value(), batches);
+  EXPECT_EQ(m.request_latency.count(), 2u);
+  EXPECT_EQ(m.stage_queue_wait.count(), 2u);
+  EXPECT_EQ(m.stage_extract.count(), 2u);
+  // Its extract stage is drawn on its lane.
+  EXPECT_NE(trace.str().find("\"name\":\"req.extract\""), std::string::npos)
+      << trace.str();
+}
+
+TEST_F(ScoringEngineTest, NothingIsAnsweredAtSubmissionAfterShutdown) {
+  serve::EngineConfig config;
+  config.workers = 2;
+  serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
+  const evm::Address target = addresses_.front();
+  engine.submit(target).get();  // cached: the next ask would be a hit
+  engine.shutdown();
+
+  const serve::ServiceMetrics& m = engine.metrics();
+  const std::uint64_t submitted = m.requests_submitted.value();
+  const std::uint64_t hits = engine.cache_stats().hits;
+  bool ran = false;
+  EXPECT_FALSE(engine.try_submit_many(
+      {&target, 1}, {}, [&ran](std::size_t, serve::ScoreResult) { ran = true; }));
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(m.requests_submitted.value(), submitted);
+  EXPECT_EQ(engine.cache_stats().hits, hits);
 }
 
 TEST_F(ScoringEngineTest, CacheHitsAreMarkedAndDeduplicated) {
@@ -729,6 +903,105 @@ TEST_F(ScoringEngineTest, RpcScoreBatchFramesAreFreedOnceAnswered) {
     return;
   }
   frontend->stop();
+}
+
+/// Two dataset codes the detector scores differently.
+std::pair<evm::Bytecode, evm::Bytecode> differently_scored(
+    core::HistogramAdapter& adapter) {
+  const evm::Bytecode& first = dataset().samples.front().code;
+  const double first_p = adapter.predict_proba({&first}).front();
+  for (const synth::LabeledContract& sample : dataset().samples) {
+    if (adapter.predict_proba({&sample.code}).front() != first_p) {
+      return {first, sample.code};
+    }
+  }
+  ADD_FAILURE() << "every dataset code scores the same";
+  return {first, first};
+}
+
+// A metamorphic contract (SELFDESTRUCT + CREATE2 redeploy in the wild)
+// keeps its address and changes its code: it must never keep the old
+// code's score, whether the answer comes at submission or from a worker.
+TEST_F(ScoringEngineTest, RedeployedCodeNeverGetsTheOldScore) {
+  const auto [old_code, new_code] = differently_scored(*adapter_);
+  const double old_p = adapter_->predict_proba({&old_code}).front();
+  const double new_p = adapter_->predict_proba({&new_code}).front();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    chain::ChainStore chain;
+    const chain::Explorer explorer(chain);
+    const evm::Address deployer = evm::Address::from_hex(
+        "0x00000000000000000000000000000000000000aa");
+    const evm::Address target =
+        chain.register_contract(deployer, old_code).address;
+    serve::EngineConfig config;
+    config.workers = workers;
+    serve::ScoringEngine engine(explorer, *adapter_, config);
+
+    EXPECT_EQ(engine.submit(target).get().probability, old_p);
+    const serve::ScoreResult cached = engine.submit(target).get();
+    EXPECT_TRUE(cached.cache_hit);
+    EXPECT_EQ(cached.probability, old_p);
+
+    chain.state().set_code(target, new_code);
+    const serve::ScoreResult redeployed = engine.submit(target).get();
+    EXPECT_FALSE(redeployed.cache_hit) << workers << " workers";
+    EXPECT_EQ(redeployed.probability, new_p) << workers << " workers";
+    EXPECT_EQ(engine.submit(target).get().probability, new_p);
+
+    // Back to the old code: both scores sit under their own hashes.
+    chain.state().set_code(target, old_code);
+    const serve::ScoreResult reverted = engine.submit(target).get();
+    EXPECT_TRUE(reverted.cache_hit);
+    EXPECT_EQ(reverted.probability, old_p) << workers << " workers";
+  }
+}
+
+// The redeploy lands after the submission probe missed on the old code's
+// hash and before the worker fetches: the row is answered as the new code,
+// scored or found in the cache, and the new score is never filed under the
+// old code's hash.
+TEST_F(ScoringEngineTest, CodeChangedAfterTheProbeIsScoredAsTheNewCode) {
+  const auto [old_code, new_code] = differently_scored(*adapter_);
+  const double old_p = adapter_->predict_proba({&old_code}).front();
+  const double new_p = adapter_->predict_proba({&new_code}).front();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool new_code_cached : {false, true}) {
+      chain::ChainStore chain;
+      const evm::Address deployer = evm::Address::from_hex(
+          "0x00000000000000000000000000000000000000aa");
+      const evm::Address target =
+          chain.register_contract(deployer, old_code).address;
+      const evm::Address twin =
+          chain.register_contract(deployer, old_code).address;
+      const evm::Address holder =
+          chain.register_contract(deployer, new_code).address;
+      const RedeployAfterProbe redeploying(chain, target, new_code);
+      serve::EngineConfig config;
+      config.workers = workers;
+      serve::ScoringEngine engine(redeploying, *adapter_, config);
+      const std::string where = std::to_string(workers) + " workers, " +
+                                (new_code_cached ? "new code cached" : "cold");
+      if (new_code_cached) {
+        EXPECT_EQ(engine.submit(holder).get().probability, new_p) << where;
+      }
+
+      const serve::ScoreResult changed = engine.submit(target).get();
+      EXPECT_EQ(changed.status, serve::ScoreStatus::kOk) << where;
+      EXPECT_EQ(changed.probability, new_p) << where;
+      EXPECT_EQ(changed.cache_hit, new_code_cached) << where;
+      EXPECT_EQ(chain.state().code_hash(target), new_code.code_hash());
+
+      // `twin` still holds the old code, which was never scored: had the
+      // worker keyed the cache by the probe's hash, it would hit on the
+      // new score here.
+      const serve::ScoreResult old = engine.submit(twin).get();
+      EXPECT_FALSE(old.cache_hit) << where;
+      EXPECT_EQ(old.probability, old_p) << where;
+      const serve::ScoreResult again = engine.submit(target).get();
+      EXPECT_TRUE(again.cache_hit) << where;
+      EXPECT_EQ(again.probability, new_p) << where;
+    }
+  }
 }
 
 TEST_F(ScoringEngineTest, MetricsDumpAfterTraffic) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <map>
@@ -206,13 +207,17 @@ TEST(FaultInjection, ScheduleIsSeededAndReplayable) {
   config.seed = 11;
 
   // Two decorators with the same seed produce the same outcome at every
-  // (address, attempt) — the property every determinism test builds on.
-  auto outcomes = [&](const chain::FaultInjectingExplorer& explorer) {
+  // (address, attempt) — the property every determinism test builds on —
+  // whichever code read (get_code or stored_code) spends the attempt.
+  auto outcomes = [&](const chain::FaultInjectingExplorer& explorer,
+                      bool stored) {
     std::string trace;
     for (int attempt = 0; attempt < 3; ++attempt) {
       for (const evm::Address& address : addresses) {
         try {
-          trace += explorer.get_code(address).empty() ? 'e' : 'c';
+          const bool empty = stored ? explorer.stored_code(address)->code->empty()
+                                    : explorer.get_code(address).empty();
+          trace += empty ? 'e' : 'c';
         } catch (const TransientError&) {
           trace += 't';
         }
@@ -222,14 +227,16 @@ TEST(FaultInjection, ScheduleIsSeededAndReplayable) {
   };
   const chain::FaultInjectingExplorer a(*dataset().explorer, config);
   const chain::FaultInjectingExplorer b(*dataset().explorer, config);
-  const std::string trace_a = outcomes(a);
-  EXPECT_EQ(trace_a, outcomes(b));
+  const chain::FaultInjectingExplorer b_stored(*dataset().explorer, config);
+  const std::string trace_a = outcomes(a, false);
+  EXPECT_EQ(trace_a, outcomes(b, false));
+  EXPECT_EQ(trace_a, outcomes(b_stored, true));
   EXPECT_NE(trace_a.find('t'), std::string::npos);
 
   // A different seed gives a different schedule.
   config.seed = 12;
   const chain::FaultInjectingExplorer c(*dataset().explorer, config);
-  EXPECT_NE(trace_a, outcomes(c));
+  EXPECT_NE(trace_a, outcomes(c, false));
 
   // Injected counts roughly match the configured mix over 480 calls.
   const chain::FaultStats stats = a.stats();
@@ -241,6 +248,20 @@ TEST(FaultInjection, ScheduleIsSeededAndReplayable) {
   EXPECT_THROW(chain::FaultInjectingExplorer(
                    *dataset().explorer, {.throw_rate = 0.9, .empty_rate = 0.9}),
                InvalidArgument);
+}
+
+TEST(FaultInjection, TryReadReportsAnInjectedStallAsBusy) {
+  chain::FaultConfig config;
+  config.latency_rate = 1.0;
+  config.latency_us = 1'000'000;  // a waiting read would take 1 s
+  const chain::FaultInjectingExplorer stalled(*dataset().explorer, config);
+  const evm::Address address = all_addresses().front();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(
+      stalled.stored_code(address, chain::ReadMode::kTry).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+  EXPECT_EQ(stalled.stats().delays, 1u);
 }
 
 TEST(FaultInjection, LabelPathDelegatesUnfaulted) {

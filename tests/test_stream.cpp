@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -440,6 +441,74 @@ TEST(FaultScheduleStreaming, FollowerCountsFaultsAndStillForwards) {
             stats.deployments_seen);
 }
 
+// ------------------------------------------------------ explorer decorators
+
+/// Overrides only the two code reads, counting them, the way a timing
+/// decorator might; everything else is the base Explorer's.
+class GetCodeCounter final : public chain::Explorer {
+ public:
+  explicit GetCodeCounter(const chain::Explorer& inner)
+      : chain::Explorer(inner.chain()), inner_(&inner) {}
+
+  std::string eth_get_code(const evm::Address& address) const override {
+    calls_.fetch_add(1);
+    return inner_->eth_get_code(address);
+  }
+  evm::Bytecode get_code(const evm::Address& address) const override {
+    calls_.fetch_add(1);
+    return inner_->get_code(address);
+  }
+  std::uint64_t calls() const { return calls_.load(); }
+
+ private:
+  const chain::Explorer* inner_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+// The stored_code such a decorator inherits reads through its get_code, so
+// it sees every engine code read and each read takes the live chain's
+// lock: the TSan leg runs this while the miner writes the chain. Since its
+// get_code may block, a submission's try-read reports busy at once instead
+// of reading through it.
+TEST(ExplorerDecorators, GetCodeOnlyDecoratorSeesEveryEngineRead) {
+  stream::LiveChain live;
+  while (live.raw_chain().contracts().size() < 24) live.mine_next_block();
+  std::vector<evm::Address> addresses;
+  for (const chain::ContractRecord& record : live.raw_chain().contracts()) {
+    addresses.push_back(record.address);
+  }
+  const GetCodeCounter counted(live.explorer());
+  serve::EngineConfig engine_config;
+  engine_config.workers = 2;
+  serve::ScoringEngine engine(counted, detector(), engine_config);
+
+  std::atomic<bool> mining{true};
+  std::thread miner([&] {
+    while (mining.load()) {
+      live.mine_next_block();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::uint64_t rows = 0;
+  std::uint64_t hits = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const serve::ScoreResult& result : engine.score_all(addresses)) {
+      EXPECT_TRUE(result.ok()) << serve::to_string(result.status);
+      ++rows;
+      hits += result.cache_hit ? 1 : 0;
+    }
+  }
+  mining.store(false);
+  miner.join();
+
+  EXPECT_GT(hits, 0u);
+  // Every row queued and was read once, by the worker that fetched it.
+  EXPECT_EQ(counted.calls(), rows);
+  EXPECT_FALSE(
+      counted.stored_code(addresses.front(), chain::ReadMode::kTry).has_value());
+  EXPECT_EQ(counted.calls(), rows);
+}
+
 // ----------------------------------------------------------------- dedup
 
 // Satellite: identical runtime bytecode at two different addresses must
@@ -595,12 +664,33 @@ TEST(StreamCoordinatorTest, DrainFlushesEveryForwardedAddress) {
   EXPECT_GT(report.completed, 0u);
 }
 
+/// The live chain's view with its lock always taken when a submission
+/// probes it: every try-read gives up, so every row meets the engine queue.
+class BusyAtSubmission final : public chain::Explorer {
+ public:
+  explicit BusyAtSubmission(const chain::Explorer& inner)
+      : chain::Explorer(inner.chain()), inner_(&inner) {}
+
+  std::optional<chain::StoredCode> stored_code(
+      const evm::Address& address,
+      chain::ReadMode mode = chain::ReadMode::kWait) const override {
+    if (mode == chain::ReadMode::kTry) return std::nullopt;
+    return inner_->stored_code(address, mode);
+  }
+
+ private:
+  const chain::Explorer* inner_;
+};
+
 TEST(StreamCoordinatorTest, OverloadedEngineShedsButConservesAccounting) {
   stream::LiveChain live;
   serve::EngineConfig engine_config;
   engine_config.workers = 1;
   engine_config.max_queue = 1;  // drastic admission control
-  serve::ScoringEngine engine(live.explorer(), detector(), engine_config);
+  // Re-queries would be cache hits answered at submission, which never
+  // queue; make every row queue so the flood meets the 1-deep queue.
+  const BusyAtSubmission busy(live.explorer());
+  serve::ScoringEngine engine(busy, detector(), engine_config);
   stream::StreamConfig config;
   config.paced = false;
   config.follower.start_block = 0;
