@@ -1,19 +1,13 @@
 // Ensemble-inference bench: per-row node walks (predict_proba_nodewalk)
-// vs the branch-free compiled traversals (ml::FlatTreeEnsemble) for all
-// four tree ensembles, written as BENCH_infer.json next to the binary.
+// vs the branch-free compiled walks (ml::FlatTreeEnsemble) for all four
+// tree ensembles, written as BENCH_infer.json next to the binary.
 //
 // Per model the bench emits:
-//   * nodewalk        — single-thread per-row walk oracle (baseline)
-//   * flat            — the production path (model.predict_proba: kAuto
-//                       traversal, default row block) on one thread; its
-//                       `traversal` field reports the resolved path
-//                       (bitvector / flat / mixed). ci.sh enforces the
-//                       per-model speedup floor on these rows.
-//   * flat_sweep      — forced walk traversal at row blocks 16/32/64/128,
-//                       isolating the layout win from the bitvector win
-//   * bitvector_sweep — forced bitvector/mask traversal over the same row
-//                       blocks (trees over 64 leaves fall back to the walk)
-//   * flat_parallel   — the production path on the default pool
+//   * nodewalk      — single-thread per-row walk oracle (baseline)
+//   * flat          — the production path (model.predict_proba) on one
+//                     thread. ci.sh enforces the per-model speedup floor
+//                     on these rows.
+//   * flat_parallel — the production path on the default pool
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -26,7 +20,6 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "ml/catboost.hpp"
-#include "ml/flat_tree.hpp"
 #include "ml/gradient_boosting.hpp"
 #include "ml/lightgbm.hpp"
 #include "ml/matrix.hpp"
@@ -37,14 +30,11 @@ namespace {
 using phishinghook::common::Rng;
 using phishinghook::common::ThreadPool;
 using phishinghook::common::Timer;
-using phishinghook::ml::FlatTreeEnsemble;
 using phishinghook::ml::Matrix;
 
 struct Row {
   std::string model;
   std::string path;
-  std::string traversal;  // nodewalk | flat | bitvector | mixed
-  std::size_t row_block = FlatTreeEnsemble::kDefaultRowBlock;
   std::size_t threads = 1;
   double ms = 0.0;        // one predict over the whole matrix
   double rows_per_s = 0.0;
@@ -83,29 +73,11 @@ double best_ms(int reps, int inner, const Fn& fn) {
   return best;
 }
 
-FlatTreeEnsemble build_flat(
-    const phishinghook::ml::RandomForestClassifier& model) {
-  return FlatTreeEnsemble::from_forest(model.trees());
-}
-FlatTreeEnsemble build_flat(
-    const phishinghook::ml::GradientBoostingClassifier& model) {
-  return FlatTreeEnsemble::from_boosted(model.trees(), model.base_score());
-}
-FlatTreeEnsemble build_flat(
-    const phishinghook::ml::LightGbmClassifier& model) {
-  return FlatTreeEnsemble::from_boosted(model.trees(), model.base_score());
-}
-FlatTreeEnsemble build_flat(
-    const phishinghook::ml::CatBoostClassifier& model) {
-  return FlatTreeEnsemble::from_oblivious(model.trees(), model.base_score());
-}
-
 void print_row(const Row& row) {
   std::printf(
-      "  %-14s %-16s %-10s block=%-4zu threads=%zu  %9.3f ms  %12.0f rows/s"
-      "  %5.2fx\n",
-      row.model.c_str(), row.path.c_str(), row.traversal.c_str(),
-      row.row_block, row.threads, row.ms, row.rows_per_s, row.speedup);
+      "  %-14s %-14s threads=%zu  %9.3f ms  %12.0f rows/s  %5.2fx\n",
+      row.model.c_str(), row.path.c_str(), row.threads, row.ms,
+      row.rows_per_s, row.speedup);
 }
 
 template <typename Model>
@@ -124,58 +96,25 @@ void bench_model(const std::string& name, const Model& model, const Matrix& x,
   Row walk;
   walk.model = name;
   walk.path = "nodewalk";
-  walk.traversal = "nodewalk";
   walk.ms = best_ms(reps, inner, [&] {
     checksum += model.predict_proba_nodewalk(x)[0];
   });
   finish(walk, walk.ms);
 
-  // Production path: whatever the fitted model's compiled ensemble picks
-  // (kAuto traversal, default row block). This is the row ci.sh holds to
-  // the per-model speedup floor.
-  FlatTreeEnsemble flat_auto = build_flat(model);
+  // Production path: the fitted model's compiled ensemble. This is the
+  // row ci.sh holds to the per-model speedup floor.
   Row flat;
   flat.model = name;
   flat.path = "flat";
-  flat.traversal = flat_auto.traversal_label();
   flat.ms = best_ms(reps, inner, [&] {
     checksum += model.predict_proba(x)[0];
   });
   finish(flat, walk.ms);
 
-  // Row-block sweep for each forced traversal, isolating layout wins from
-  // bitvector wins.
-  for (const std::size_t block : {16, 32, 64, 128}) {
-    FlatTreeEnsemble forced = build_flat(model);
-    forced.set_row_block(block);
-    forced.set_traversal(FlatTreeEnsemble::Traversal::kWalk);
-    Row sweep;
-    sweep.model = name;
-    sweep.path = "flat_sweep";
-    sweep.traversal = forced.traversal_label();
-    sweep.row_block = block;
-    sweep.ms = best_ms(reps, inner, [&] {
-      checksum += forced.predict_proba(x)[0];
-    });
-    finish(sweep, walk.ms);
-
-    forced.set_traversal(FlatTreeEnsemble::Traversal::kBitvector);
-    Row bv;
-    bv.model = name;
-    bv.path = "bitvector_sweep";
-    bv.traversal = forced.traversal_label();
-    bv.row_block = block;
-    bv.ms = best_ms(reps, inner, [&] {
-      checksum += forced.predict_proba(x)[0];
-    });
-    finish(bv, walk.ms);
-  }
-
   ThreadPool::set_global_threads(0);
   Row par;
   par.model = name;
   par.path = "flat_parallel";
-  par.traversal = flat_auto.traversal_label();
   par.threads = std::max(1u, std::thread::hardware_concurrency());
   par.ms = best_ms(reps, inner, [&] {
     checksum += model.predict_proba(x)[0];
@@ -249,12 +188,10 @@ int main(int argc, char** argv) {
     const Row& row = rows[i];
     std::fprintf(out,
                  "    {\"model\": \"%s\", \"path\": \"%s\", "
-                 "\"traversal\": \"%s\", \"row_block\": %zu, "
                  "\"threads\": %zu, \"ms\": %.4f, \"rows_per_s\": %.1f, "
                  "\"speedup_vs_nodewalk\": %.2f}%s\n",
-                 row.model.c_str(), row.path.c_str(), row.traversal.c_str(),
-                 row.row_block, row.threads, row.ms, row.rows_per_s,
-                 row.speedup, i + 1 < rows.size() ? "," : "");
+                 row.model.c_str(), row.path.c_str(), row.threads, row.ms,
+                 row.rows_per_s, row.speedup, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
 
     const auto& latency = engine.metrics().request_latency;
     std::printf("%8zu %10zu %12.0f %10.0f %10.0f %10.0f %7.1f%% %8ju %8ju\n",
-                workers, completed, rate, latency.quantile_us(0.50),
-                latency.quantile_us(0.95), latency.quantile_us(0.99),
+                workers, completed, rate, latency.quantile(0.50),
+                latency.quantile(0.95), latency.quantile(0.99),
                 100.0 * engine.cache_stats().hit_rate(),
                 static_cast<std::uintmax_t>(
                     engine.metrics().requests_failed.value()),

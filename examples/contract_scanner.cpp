@@ -13,8 +13,8 @@
 //   3. load the artifact back (what a scoring replica actually boots from),
 //   4. stand up the batching ScoringEngine and scan the fresh-deployment
 //      stream from concurrent producer threads, and
-//   5. dump the service metrics (latency percentiles, batch occupancy,
-//      cache hit rate).
+//   5. print the engine's Prometheus exposition (latency quantiles, batch
+//      and cache counters).
 //
 // Build & run:  ./build/examples/contract_scanner
 //   --metrics <path>   write the full Prometheus exposition (engine registry
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nservice metrics (wallet signing budget: seconds):\n");
   std::ostringstream metrics;
-  engine.dump_metrics(metrics);
+  engine.dump_prometheus(metrics);
   std::printf("%s", metrics.str().c_str());
 
   // Quiesce the engine before exporting telemetry: worker threads must be

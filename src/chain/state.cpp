@@ -48,9 +48,9 @@ U256 State::get_balance(const Address& account) {
   return acct == nullptr ? U256() : acct->balance;
 }
 
-Bytecode State::get_code(const Address& account) {
+std::shared_ptr<const Bytecode> State::get_code(const Address& account) {
   const Account* acct = find(account);
-  return acct == nullptr ? Bytecode() : acct->code();
+  return acct == nullptr ? empty_code() : acct->stored_code().code;
 }
 
 evm::Hash256 State::code_hash(const Address& account) {

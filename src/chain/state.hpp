@@ -111,7 +111,7 @@ class State final : public evm::Host {
 
   // --- Host interface ------------------------------------------------------
   U256 get_balance(const Address& account) override;
-  Bytecode get_code(const Address& account) override;
+  std::shared_ptr<const Bytecode> get_code(const Address& account) override;
   /// The stored hash; never hashes the code again.
   evm::Hash256 code_hash(const Address& account) override;
   U256 sload(const Address& account, const U256& key) override;

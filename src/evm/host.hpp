@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -79,7 +80,9 @@ class Host {
   virtual ~Host() = default;
 
   virtual U256 get_balance(const Address& account) = 0;
-  virtual Bytecode get_code(const Address& account) = 0;
+  /// The account's code as stored, shared rather than copied (empty code
+  /// for an account without any); never null.
+  virtual std::shared_ptr<const Bytecode> get_code(const Address& account) = 0;
   /// Keccak-256 of the account's code, as the account stores it
   /// (EXTCODEHASH); the empty-code hash for an account without code.
   virtual Hash256 code_hash(const Address& account) = 0;

@@ -1,6 +1,7 @@
 #include "evm/interpreter.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "evm/memory.hpp"
 #include "evm/opcodes.hpp"
@@ -419,7 +420,7 @@ ExecutionResult Interpreter::execute_impl(const Message& message,
         U256 addr_w;
         (void)f.stack.pop(addr_w);
         (void)f.stack.push(
-            U256(f.host.get_code(Address::from_word(addr_w)).size()));
+            U256(f.host.get_code(Address::from_word(addr_w))->size()));
         break;
       }
       case Op::kExtcodecopy: {
@@ -437,11 +438,12 @@ ExecutionResult Interpreter::execute_impl(const Message& message,
           return finish(f, Status::kOutOfGas);
         }
         if (!f.charge_memory(dst, len)) return finish(f, Status::kOutOfGas);
-        const Bytecode ext = f.host.get_code(Address::from_word(addr_w));
+        const std::shared_ptr<const Bytecode> ext =
+            f.host.get_code(Address::from_word(addr_w));
         std::span<const std::uint8_t> window;
-        if (src_ok && src < ext.size()) {
-          window = std::span<const std::uint8_t>(ext.bytes().data() + src,
-                                                 ext.size() - src);
+        if (src_ok && src < ext->size()) {
+          window = std::span<const std::uint8_t>(ext->bytes().data() + src,
+                                                 ext->size() - src);
         }
         f.memory.store_span(dst, window, len);
         break;

@@ -1,13 +1,12 @@
 #include "ml/flat_tree.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/errors.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/catboost.hpp"
 #include "ml/gbdt_common.hpp"
@@ -30,49 +29,7 @@ FlatInstruments& flat_instruments() {
   return instruments;
 }
 
-/// Bits [lo, hi) set; hi <= 64.
-std::uint64_t range_mask(std::uint32_t lo, std::uint32_t hi) {
-  const std::uint64_t upto_hi =
-      hi >= 64 ? ~0ULL : ((1ULL << hi) - 1);
-  const std::uint64_t upto_lo = (1ULL << lo) - 1;
-  return upto_hi ^ upto_lo;
-}
-
-/// Leaves of the subtree rooted at `node`, capped at 65 (eligibility only
-/// needs "more than 64"), plus the tree's maximum depth in edges.
-struct TreeShape {
-  std::size_t leaves = 0;
-  std::uint32_t depth = 0;
-};
-
-TreeShape tree_shape(std::span<const TreeNode> tree) {
-  TreeShape shape;
-  // Explicit stack: boosted trees are shallow but the layout must not
-  // assume it.
-  std::vector<std::pair<std::int32_t, std::uint32_t>> stack;
-  stack.emplace_back(0, 0);
-  while (!stack.empty()) {
-    const auto [node, depth] = stack.back();
-    stack.pop_back();
-    shape.depth = std::max(shape.depth, depth);
-    const TreeNode& n = tree[static_cast<std::size_t>(node)];
-    if (n.is_leaf()) {
-      ++shape.leaves;
-      continue;
-    }
-    stack.emplace_back(n.left, depth + 1);
-    stack.emplace_back(n.right, depth + 1);
-  }
-  return shape;
-}
-
 }  // namespace
-
-// Per-chunk scratch: the block's feature values transposed feature-major
-// so the per-test vector loops read contiguous lanes.
-struct FlatTreeEnsemble::Scratch {
-  std::vector<double> feature_major;  ///< [feature][block_row]
-};
 
 // --- compilation -------------------------------------------------------------
 
@@ -106,10 +63,6 @@ void FlatTreeEnsemble::build_cut_tables(
         cuts_.size() - cut_offset_[static_cast<std::size_t>(f)]);
   }
   cut_offset_[n_features_] = static_cast<std::uint32_t>(cuts_.size());
-  active_features_.clear();
-  for (std::size_t f = 0; f < n_features_; ++f) {
-    if (cut_len_[f] > 0) active_features_.push_back(static_cast<std::uint32_t>(f));
-  }
 }
 
 std::uint32_t FlatTreeEnsemble::rank_of(std::int32_t feature,
@@ -147,28 +100,23 @@ void FlatTreeEnsemble::compile_binary(
   trees_.reserve(tree_count_);
   walk_nodes_.clear();
   walk_node_value_.clear();
-  bv_tests_.clear();
-  bv_leaf_value_.clear();
-  eligible_trees_ = 0;
 
   for (std::span<const TreeNode> tree : trees) {
-    const TreeShape shape = tree_shape(tree);
+    // DFS re-layout with sibling children adjacent, leaves self-looping
+    // with an always-false test so the chase runs a fixed `depth` steps
+    // (the tree's maximum depth in edges) branch-free.
     TreeRef ref;
-    ref.depth = shape.depth;
-
-    // Walk layout (always built — the kWalk traversal and oversized trees
-    // both use it): DFS re-layout with sibling children adjacent, leaves
-    // self-looping with an always-false test so the chase runs a fixed
-    // `depth` steps branch-free.
     ref.walk_root = static_cast<std::uint32_t>(walk_nodes_.size());
     walk_nodes_.emplace_back();
     walk_node_value_.push_back(0.0);
-    // (source node, destination slot) worklist.
-    std::vector<std::pair<std::int32_t, std::uint32_t>> work;
-    work.emplace_back(0, ref.walk_root);
+    // (source node, destination slot, depth) worklist; explicit, since
+    // the layout must not assume shallow trees.
+    std::vector<std::tuple<std::int32_t, std::uint32_t, std::uint32_t>> work;
+    work.emplace_back(0, ref.walk_root, 0);
     while (!work.empty()) {
-      const auto [src, dst] = work.back();
+      const auto [src, dst, depth] = work.back();
       work.pop_back();
+      ref.depth = std::max(ref.depth, depth);
       const TreeNode& node = tree[static_cast<std::size_t>(src)];
       if (node.is_leaf()) {
         WalkNode& out = walk_nodes_[dst];
@@ -188,43 +136,10 @@ void FlatTreeEnsemble::compile_binary(
       out.threshold = intern_threshold(node.feature, node.threshold);
       out.feature = node.feature;
       out.left = static_cast<std::int32_t>(children);
-      work.emplace_back(node.left, children);
-      work.emplace_back(node.right, children + 1);
+      work.emplace_back(node.left, children, depth + 1);
+      work.emplace_back(node.right, children + 1, depth + 1);
     }
 
-    // QuickScorer layout for trees whose leaves fit one machine word:
-    // leaves numbered left-to-right by an in-order DFS; each internal node
-    // contributes a test whose keep-mask zeros its left subtree (the
-    // leaves that become unreachable when `x <= t` fails).
-    ref.bitvector_eligible = shape.leaves <= 64;
-    if (ref.bitvector_eligible) {
-      ref.test_begin = static_cast<std::uint32_t>(bv_tests_.size());
-      ref.leaf_begin = static_cast<std::uint32_t>(bv_leaf_value_.size());
-      std::uint32_t next_leaf = 0;
-      // Recursive lambda returning the subtree's [lo, hi) leaf range;
-      // depth is bounded by 63 for any 64-leaf tree.
-      auto enumerate = [&](auto&& self, std::int32_t node)
-          -> std::pair<std::uint32_t, std::uint32_t> {
-        const TreeNode& n = tree[static_cast<std::size_t>(node)];
-        if (n.is_leaf()) {
-          bv_leaf_value_.push_back(n.value);
-          const std::uint32_t id = next_leaf++;
-          return {id, id + 1};
-        }
-        const auto left = self(self, n.left);
-        const auto right = self(self, n.right);
-        BvTest test;
-        test.feature = n.feature;
-        test.threshold = intern_threshold(n.feature, n.threshold);
-        test.keep_mask = ~range_mask(left.first, left.second);
-        bv_tests_.push_back(test);
-        return {left.first, right.second};
-      };
-      enumerate(enumerate, 0);
-      ref.test_end = static_cast<std::uint32_t>(bv_tests_.size());
-      ref.init_mask = range_mask(0, next_leaf);
-      ++eligible_trees_;
-    }
     trees_.push_back(ref);
   }
 }
@@ -309,178 +224,73 @@ FlatTreeEnsemble FlatTreeEnsemble::from_oblivious(
   return flat;
 }
 
-// --- configuration -----------------------------------------------------------
-
-std::size_t FlatTreeEnsemble::bitvector_tree_count() const {
-  // kAuto resolves to the walk for both kinds — the bench_infer sweep
-  // shows the interleaved walk beating the QuickScorer masks at the
-  // shipped tree shapes and the row-outer oblivious walk beating the
-  // transposed level-outer mask path (the transpose costs more than
-  // cross-row SIMD saves at depth ≤ 6).
-  if (traversal_ != Traversal::kBitvector) return 0;
-  return kind_ == Kind::kOblivious ? tree_count_ : eligible_trees_;
-}
-
-const char* FlatTreeEnsemble::traversal_label() const {
-  const std::size_t bitvector = bitvector_tree_count();
-  if (bitvector == 0) return "flat";
-  return bitvector == tree_count_ ? "bitvector" : "mixed";
-}
-
-void FlatTreeEnsemble::set_row_block(std::size_t rows) {
-  row_block_ = std::clamp<std::size_t>(rows, 4, kMaxRowBlock);
-}
-
 // --- evaluation --------------------------------------------------------------
 
-void FlatTreeEnsemble::transpose_block(const Matrix& x, std::size_t row0,
-                                       std::size_t rows,
-                                       Scratch& scratch) const {
-  const double* data = x.data().data() + row0 * x.cols();
-  const std::size_t cols = x.cols();
-  const std::size_t block = row_block_;
-  double* fm = scratch.feature_major.data();
-  // Feature-outer: each pane is written contiguously (strided reads
-  // overlap in the load pipeline; strided writes would allocate a cache
-  // line per store). Only features some test consults get a pane.
-  for (const std::uint32_t f : active_features_) {
-    double* pane = fm + static_cast<std::size_t>(f) * block;
-    const double* src = data + f;
-    for (std::size_t i = 0; i < rows; ++i) {
-      pane[i] = src[i * cols];
-    }
-  }
-}
-
 void FlatTreeEnsemble::predict_block(const Matrix& x, std::size_t begin,
-                                     std::size_t end, std::span<double> out,
-                                     Scratch& scratch) const {
-  const std::size_t block_size = row_block_;
-  const bool use_bitvector =
-      traversal_ == Traversal::kBitvector &&
-      (kind_ == Kind::kOblivious ? tree_count_ > 0 : eligible_trees_ > 0);
-  const bool oblivious_walk = kind_ == Kind::kOblivious && !use_bitvector;
-  if (use_bitvector) {
-    scratch.feature_major.resize(n_features_ * block_size);
-  }
-
-  double accum[kMaxRowBlock];
-  std::uint64_t mask[kMaxRowBlock];
-  std::uint64_t leaf[kMaxRowBlock];
+                                     std::size_t end,
+                                     std::span<double> out) const {
+  double accum[kRowBlock];
   const std::size_t cols = x.cols();
   const double* rows_data = x.data().data();
 
-  for (std::size_t block = begin; block < end; block += block_size) {
-    const std::size_t rows = std::min(block_size, end - block);
+  for (std::size_t block = begin; block < end; block += kRowBlock) {
+    const std::size_t rows = std::min(kRowBlock, end - block);
     const double init = output_ == Output::kSigmoidSum ? base_score_ : 0.0;
     for (std::size_t i = 0; i < rows; ++i) accum[i] = init;
-    if (use_bitvector && n_features_ > 0) {
-      transpose_block(x, block, rows, scratch);
-    }
 
     if (kind_ == Kind::kBinary) {
-      const double* fm = scratch.feature_major.data();
       const WalkNode* nodes = walk_nodes_.data();
       const double* walk_values = walk_node_value_.data();
-      // Tree-outer: one tree's tests/nodes stay hot across the whole row
-      // block; per-row accumulation still happens in legacy tree order.
+      // Tree-outer: one tree's nodes stay hot across the whole row block;
+      // per-row accumulation still happens in legacy tree order.
       for (const TreeRef& tree : trees_) {
-        if (tree.bitvector_eligible && use_bitvector) {
-          const std::uint64_t init_mask = tree.init_mask;
-          PHISHINGHOOK_SIMD
-          for (std::size_t i = 0; i < rows; ++i) mask[i] = init_mask;
-          for (std::uint32_t t = tree.test_begin; t < tree.test_end; ++t) {
-            const BvTest test = bv_tests_[t];
-            const double* lane =
-                fm + static_cast<std::size_t>(test.feature) * block_size;
-            const std::uint64_t keep = test.keep_mask;
-            const double threshold = test.threshold;
-            // keep | ~0 when the test passes, keep | 0 when it fails:
-            // pure arithmetic select, no branch (the double compare maps
-            // straight onto an all-ones/all-zeros SIMD lane mask).
-            PHISHINGHOOK_SIMD
-            for (std::size_t i = 0; i < rows; ++i) {
-              mask[i] &= keep | (0ULL - static_cast<std::uint64_t>(
-                                            lane[i] <= threshold));
-            }
+        // Fixed-depth branch-free chase, four rows interleaved so the
+        // dependent node loads overlap in the memory pipeline. Feature
+        // values read row-major straight from x.
+        const std::uint32_t root = tree.walk_root;
+        const std::uint32_t depth = tree.depth;
+        std::size_t i = 0;
+        for (; i + 4 <= rows; i += 4) {
+          const double* r0 = rows_data + (block + i + 0) * cols;
+          const double* r1 = rows_data + (block + i + 1) * cols;
+          const double* r2 = rows_data + (block + i + 2) * cols;
+          const double* r3 = rows_data + (block + i + 3) * cols;
+          std::uint32_t n0 = root, n1 = root, n2 = root, n3 = root;
+          for (std::uint32_t d = 0; d < depth; ++d) {
+            const WalkNode a0 = nodes[n0];
+            const WalkNode a1 = nodes[n1];
+            const WalkNode a2 = nodes[n2];
+            const WalkNode a3 = nodes[n3];
+            n0 = static_cast<std::uint32_t>(a0.left) +
+                 (r0[a0.feature] > a0.threshold);
+            n1 = static_cast<std::uint32_t>(a1.left) +
+                 (r1[a1.feature] > a1.threshold);
+            n2 = static_cast<std::uint32_t>(a2.left) +
+                 (r2[a2.feature] > a2.threshold);
+            n3 = static_cast<std::uint32_t>(a3.left) +
+                 (r3[a3.feature] > a3.threshold);
           }
-          const double* leaves = bv_leaf_value_.data() + tree.leaf_begin;
-          for (std::size_t i = 0; i < rows; ++i) {
-            accum[i] += leaves[std::countr_zero(mask[i])];
-          }
-        } else {
-          // Fixed-depth branch-free chase, four rows interleaved so the
-          // dependent node loads overlap in the memory pipeline. Feature
-          // values read row-major straight from x.
-          const std::uint32_t root = tree.walk_root;
-          const std::uint32_t depth = tree.depth;
-          std::size_t i = 0;
-          for (; i + 4 <= rows; i += 4) {
-            const double* r0 = rows_data + (block + i + 0) * cols;
-            const double* r1 = rows_data + (block + i + 1) * cols;
-            const double* r2 = rows_data + (block + i + 2) * cols;
-            const double* r3 = rows_data + (block + i + 3) * cols;
-            std::uint32_t n0 = root, n1 = root, n2 = root, n3 = root;
-            for (std::uint32_t d = 0; d < depth; ++d) {
-              const WalkNode a0 = nodes[n0];
-              const WalkNode a1 = nodes[n1];
-              const WalkNode a2 = nodes[n2];
-              const WalkNode a3 = nodes[n3];
-              n0 = static_cast<std::uint32_t>(a0.left) +
-                   (r0[a0.feature] > a0.threshold);
-              n1 = static_cast<std::uint32_t>(a1.left) +
-                   (r1[a1.feature] > a1.threshold);
-              n2 = static_cast<std::uint32_t>(a2.left) +
-                   (r2[a2.feature] > a2.threshold);
-              n3 = static_cast<std::uint32_t>(a3.left) +
-                   (r3[a3.feature] > a3.threshold);
-            }
-            accum[i + 0] += walk_values[n0];
-            accum[i + 1] += walk_values[n1];
-            accum[i + 2] += walk_values[n2];
-            accum[i + 3] += walk_values[n3];
-          }
-          for (; i < rows; ++i) {
-            const double* r = rows_data + (block + i) * cols;
-            std::uint32_t n = root;
-            for (std::uint32_t d = 0; d < depth; ++d) {
-              const WalkNode a = nodes[n];
-              n = static_cast<std::uint32_t>(a.left) +
-                  (r[a.feature] > a.threshold);
-            }
-            accum[i] += walk_values[n];
-          }
+          accum[i + 0] += walk_values[n0];
+          accum[i + 1] += walk_values[n1];
+          accum[i + 2] += walk_values[n2];
+          accum[i + 3] += walk_values[n3];
         }
-      }
-    } else if (!oblivious_walk) {
-      // CatBoost mask arithmetic, level-outer / row-inner: every level is
-      // one vectorizable compare-shift-or over the block.
-      const double* fm = scratch.feature_major.data();
-      for (std::size_t t = 0; t < tree_count_; ++t) {
-        const std::size_t levels = level_depth_[t];
-        const std::size_t off = level_offset_[t];
-        PHISHINGHOOK_SIMD
-        for (std::size_t i = 0; i < rows; ++i) leaf[i] = 0;
-        for (std::size_t level = 0; level < levels; ++level) {
-          const double* lane =
-              fm + static_cast<std::size_t>(level_feature_[off + level]) *
-                       block_size;
-          const double threshold = level_threshold_[off + level];
-          PHISHINGHOOK_SIMD
-          for (std::size_t i = 0; i < rows; ++i) {
-            leaf[i] = (leaf[i] << 1) |
-                      static_cast<std::uint64_t>(lane[i] > threshold);
+        for (; i < rows; ++i) {
+          const double* r = rows_data + (block + i) * cols;
+          std::uint32_t n = root;
+          for (std::uint32_t d = 0; d < depth; ++d) {
+            const WalkNode a = nodes[n];
+            n = static_cast<std::uint32_t>(a.left) +
+                (r[a.feature] > a.threshold);
           }
+          accum[i] += walk_values[n];
         }
-        const double* leaves = leaf_value_.data() + leaf_offset_[t];
-        for (std::size_t i = 0; i < rows; ++i) accum[i] += leaves[leaf[i]];
       }
     } else {
-      // Row-outer oblivious walk (production kAuto): per row, each level
-      // is a branch-free shift/or — no transpose, row data stays in L1
-      // across trees. Four rows interleave per tree so the four index
-      // chains run independently while sharing each level's single
-      // (feature, threshold) load.
+      // Row-outer oblivious walk: per row, each level is a branch-free
+      // shift/or, and row data stays in L1 across trees. Four rows
+      // interleave per tree so the four index chains run independently
+      // while sharing each level's single (feature, threshold) load.
       for (std::size_t t = 0; t < tree_count_; ++t) {
         const std::size_t levels = level_depth_[t];
         const std::int32_t* features = level_feature_.data() + level_offset_[t];
@@ -552,8 +362,7 @@ void FlatTreeEnsemble::predict_into(const Matrix& x,
   instruments.rows.inc(x.rows());
   common::parallel_for_chunks(x.rows(),
                               [&](std::size_t begin, std::size_t end) {
-                                Scratch scratch;
-                                predict_block(x, begin, end, out, scratch);
+                                predict_block(x, begin, end, out);
                               });
 }
 

@@ -2,46 +2,29 @@
 //
 // The fitted ensembles walk node-based trees one row at a time on the
 // legacy path (`predict_proba_nodewalk` / `raw_score` / `predict_row`).
-// This compiles any of them into quantized flat structures evaluated in
-// cache-blocked row batches with no data-dependent branches on the hot
-// paths:
+// This compiles any of them into flat structures evaluated in row blocks
+// with no data-dependent branches, one evaluation per tree kind:
 //
-//  * Every split threshold is quantized into a per-feature sorted
-//    cut-point table at compile time; compiled tests store the cut index
-//    (rank) plus the interned double. Evaluation compares the raw feature
-//    value against the interned cut directly: measured on the 48-feature
-//    histogram workload, per-row rank binarization (a binary search per
-//    feature per row) costs more than the whole node walk, while the
-//    mask loops below are 64-bit-bound and gain nothing from integer
-//    operands — see DESIGN.md §10 for the numbers.
-//  * A block's feature values are transposed once into a feature-major
-//    scratch pane so every per-test loop reads a contiguous vectorizable
-//    lane of the block.
-//  * Trees with at most 64 leaves (every XGBoost/LightGBM tree at the
-//    shipped depths) evaluate QuickScorer-style: leaves are numbered
-//    left-to-right, each internal node carries a bitvector with zeros over
-//    its left subtree's leaves, a row starts from the all-leaves mask and
-//    ANDs in the bitvector of every *failed* test, and the exit leaf is
-//    the first surviving bit. The per-test inner loop over the row block
-//    is branch-free and vectorizable (one compare, one OR, one AND per
-//    row).
-//  * Larger trees (deep Random Forest CARTs) use a compact 16-byte node
-//    layout (children adjacent, leaves self-looping) chased for a fixed
-//    per-tree depth with four interleaved rows, so the walk is branch-free
-//    and the four pointer chases overlap in the memory pipeline.
-//  * CatBoost's oblivious levels run as straight-line mask arithmetic,
-//    level-outer / row-inner: `leaf[i] = (leaf[i] << 1) | (x[f] > t)`.
+//  * Every split threshold is interned through a per-feature sorted
+//    cut-point table at compile time, so compiled tests compare the raw
+//    feature value against the same double the trainer produced.
+//  * Binary trees (Random Forest CARTs, XGBoost/LightGBM) use a compact
+//    16-byte node layout (children adjacent, leaves self-looping) chased
+//    for a fixed per-tree depth with four interleaved rows, so the walk
+//    is branch-free and the four pointer chases overlap in the memory
+//    pipeline.
+//  * CatBoost's oblivious trees walk row-outer, one branch-free
+//    `idx = (idx << 1) | (x[f] > t)` per level, four rows interleaved.
 //
 // Bit-identity contract: every compiled test performs the same double
 // comparison as the legacy walk (thresholds are interned verbatim), the
 // selected leaf is therefore the legacy leaf, and per-row tree
 // contributions accumulate in legacy tree order, so probabilities are
 // identical doubles — asserted against the node-walk oracles in
-// tests/test_features_fast.cpp (every traversal × row-block combination),
-// at every thread count in tests/test_parallel_determinism.cpp, and in
-// the no-SIMD scalar-fallback CI build. The branch-free traversals
-// require finite feature values (opcode histograms always are); NaN rows
-// would diverge from the `x <= t` oracle semantics.
+// tests/test_features_fast.cpp, at every thread count in
+// tests/test_parallel_determinism.cpp, and in the no-SIMD CI build. The
+// branch-free walks require finite feature values (opcode histograms
+// always are); NaN rows would diverge from the `x <= t` oracle semantics.
 #pragma once
 
 #include <cstdint>
@@ -62,23 +45,6 @@ class FlatTreeEnsemble {
     kAverage,     ///< mean of leaf fractions (Random Forest)
     kSigmoidSum,  ///< sigmoid(base + sum of leaf values) (boosters)
   };
-
-  /// Which compiled evaluation runs. kAuto (production default) picks the
-  /// measured winner: the interleaved branch-free walk for binary trees
-  /// and the row-outer mask walk for oblivious trees (bench_infer's sweep
-  /// shows a depth-5 walk doing 5 tests/row beating the bitvector's ~31,
-  /// and the oblivious transpose costing more than cross-row SIMD saves
-  /// at depth ≤ 6). kWalk forces the same walks explicitly; kBitvector
-  /// forces the QuickScorer path where eligible (≤64 leaves, walk
-  /// fallback above) and the transposed level-outer mask path for
-  /// oblivious trees.
-  enum class Traversal { kAuto, kWalk, kBitvector };
-
-  /// Rows per cache block (transposed pane, masks and accumulators all
-  /// live per-block). Default 32 (best across the bench_infer sweep);
-  /// bench_infer sweeps 16..128.
-  static constexpr std::size_t kDefaultRowBlock = 32;
-  static constexpr std::size_t kMaxRowBlock = 256;
 
   FlatTreeEnsemble() = default;
 
@@ -104,28 +70,13 @@ class FlatTreeEnsemble {
   /// Distinct interned split thresholds across all cut-point tables.
   std::size_t cut_count() const { return cuts_.size(); }
 
-  /// Trees evaluated on the QuickScorer bitvector (or oblivious mask)
-  /// path under the current traversal setting.
-  std::size_t bitvector_tree_count() const;
-
-  void set_traversal(Traversal traversal) { traversal_ = traversal; }
-  Traversal traversal() const { return traversal_; }
-  /// Stable label of the path the current setting resolves to for this
-  /// ensemble: "bitvector", "flat" (walk), or "mixed".
-  const char* traversal_label() const;
-
-  /// Rows per block, clamped to [4, kMaxRowBlock].
-  void set_row_block(std::size_t rows);
-  std::size_t row_block() const { return row_block_; }
-
   /// P(phishing) per row, parallelized over row chunks on the
   /// common::ThreadPool (each output slot written by exactly one task).
   std::vector<double> predict_proba(const Matrix& x) const;
 
-  /// Allocation-light variant into a caller buffer of x.rows() doubles
-  /// (one scratch allocation per parallel chunk). Throws InvalidArgument
-  /// on size mismatch or when x has fewer than n_features() columns,
-  /// StateError when empty.
+  /// Variant into a caller buffer of x.rows() doubles. Throws
+  /// InvalidArgument on size mismatch or when x has fewer than
+  /// n_features() columns, StateError when empty.
   void predict_into(const Matrix& x, std::span<double> out) const;
 
  private:
@@ -142,26 +93,14 @@ class FlatTreeEnsemble {
     std::int32_t left = 0;
   };
 
-  /// One QuickScorer test: AND `keep_mask` into the row's leaf mask when
-  /// the test fails (x > threshold). Zeros cover the left subtree.
-  struct BvTest {
-    double threshold = 0.0;      ///< interned cut
-    std::uint64_t keep_mask = 0;
-    std::int32_t feature = 0;
-  };
-
   /// Per-tree dispatch record, in legacy tree order.
   struct TreeRef {
-    bool bitvector_eligible = false;
-    std::uint32_t depth = 0;        ///< walk: fixed chase length
-    std::uint32_t walk_root = 0;    ///< into walk_nodes_
-    std::uint32_t test_begin = 0;   ///< into bv_tests_
-    std::uint32_t test_end = 0;
-    std::uint32_t leaf_begin = 0;   ///< into bv_leaf_value_
-    std::uint64_t init_mask = 0;    ///< all leaves set
+    std::uint32_t depth = 0;      ///< fixed chase length
+    std::uint32_t walk_root = 0;  ///< into walk_nodes_
   };
 
-  struct Scratch;  // per-chunk rank/mask buffers (flat_tree.cpp)
+  /// Rows per block: the per-block accumulators live on the stack.
+  static constexpr std::size_t kRowBlock = 32;
 
   void compile_binary(const std::vector<std::span<const TreeNode>>& trees);
   void compile_oblivious(const std::vector<ObliviousTree>& trees);
@@ -173,20 +112,14 @@ class FlatTreeEnsemble {
   double intern_threshold(std::int32_t feature, double threshold) const;
 
   void predict_block(const Matrix& x, std::size_t begin, std::size_t end,
-                     std::span<double> out, Scratch& scratch) const;
-  /// Copies rows [row0, row0 + rows) into the feature-major scratch pane.
-  void transpose_block(const Matrix& x, std::size_t row0, std::size_t rows,
-                       Scratch& scratch) const;
+                     std::span<double> out) const;
 
   Kind kind_ = Kind::kBinary;
   Output output_ = Output::kAverage;
-  Traversal traversal_ = Traversal::kAuto;
   double base_score_ = 0.0;
   std::size_t tree_count_ = 0;
   std::size_t node_count_ = 0;
   std::size_t n_features_ = 0;
-  std::size_t row_block_ = kDefaultRowBlock;
-  std::size_t eligible_trees_ = 0;
 
   // Quantized cut-point tables: cuts_ holds each feature's sorted unique
   // thresholds back to back; cut_offset_/cut_len_ index it per feature.
@@ -194,16 +127,11 @@ class FlatTreeEnsemble {
   std::vector<double> cuts_;
   std::vector<std::uint32_t> cut_offset_;
   std::vector<std::uint32_t> cut_len_;
-  /// Features with at least one cut — the only panes transpose_block
-  /// fills (the pane itself stays indexed by raw feature id).
-  std::vector<std::uint32_t> active_features_;
 
   // Binary section (RF / GBDT / LightGBM).
   std::vector<TreeRef> trees_;
   std::vector<WalkNode> walk_nodes_;
   std::vector<double> walk_node_value_;  ///< per node; leaves carry payload
-  std::vector<BvTest> bv_tests_;
-  std::vector<double> bv_leaf_value_;    ///< leaf payloads, in-order ids
 
   // Oblivious section (CatBoost): per-tree level tests + leaf table,
   // stored contiguously across trees.

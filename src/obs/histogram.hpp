@@ -7,7 +7,9 @@
 // interpolate linearly inside the bucket holding the target rank, with the
 // bucket's upper edge clamped to the observed max — so a single sample
 // reports itself exactly at every q, and the top bucket never overstates
-// the maximum (see quantile() for the exact formula, pinned by test_obs).
+// the maximum (see quantile_of() for the exact formula, pinned by
+// test_obs). bucket_of() and quantile_of() are public so other bin arrays
+// with this layout (the sliding window's) share the one implementation.
 //
 // Everything here is written from hot-path worker threads, so all state is
 // std::atomic with relaxed ordering — readers get a near-consistent
@@ -24,6 +26,50 @@ namespace phishinghook::obs {
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 27;  // 2^26 ~ 67M units cap
+  using Bins = std::array<std::uint64_t, kBuckets>;
+
+  /// Log2 bin of a magnitude: bucket b >= 1 holds [2^b, 2^(b+1)), bucket
+  /// 0 holds 0 and 1, and the top bucket everything from 2^26 up.
+  static std::size_t bucket_of(std::uint64_t v) {
+    std::size_t b = 0;
+    while (v > 1 && b + 1 < kBuckets) {
+      v >>= 1;
+      ++b;
+    }
+    return b;
+  }
+
+  /// Quantile estimate for q in [0, 1] over `n` samples binned by
+  /// bucket_of with observed maximum `max`: the target rank is
+  /// k = min(n-1, floor(q*n)); within the bucket holding rank k (lower edge
+  /// L, upper edge U clamped to `max`, population c, preceding cumulative
+  /// count p) the estimate is L + (U - L) * (k - p + 1) / c. With one
+  /// sample every quantile is that sample exactly.
+  static double quantile_of(const Bins& bins, std::uint64_t n, double max,
+                            double q) {
+    if (n == 0) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    const auto k = std::min<std::uint64_t>(
+        n - 1, static_cast<std::uint64_t>(q * static_cast<double>(n)));
+    std::uint64_t cum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint64_t c = bins[b];
+      if (c == 0) continue;
+      if (cum + c > k) {
+        const double lower =
+            b == 0 ? 0.0 : static_cast<double>(std::uint64_t{1} << b);
+        // The observed max sits in the highest nonempty bucket, so clamping
+        // is a no-op everywhere below it and exact at the top.
+        const double upper = std::min(
+            static_cast<double>(std::uint64_t{1} << (b + 1)), max);
+        const double frac = static_cast<double>(k - cum + 1) /
+                            static_cast<double>(c);
+        return lower + (upper - lower) * frac;
+      }
+      cum += c;
+    }
+    return max;
+  }
 
   void record(double value) {
     const auto v = value <= 0.0 ? std::uint64_t{0}
@@ -51,54 +97,18 @@ class LatencyHistogram {
     return static_cast<double>(max_.load(std::memory_order_relaxed));
   }
 
-  /// Quantile estimate for q in [0, 1]: the target rank is
-  /// k = min(n-1, floor(q*n)); within the bucket holding rank k (lower edge
-  /// L, upper edge U clamped to the observed max, population c, preceding
-  /// cumulative count p) the estimate is L + (U - L) * (k - p + 1) / c.
-  /// With one sample every quantile is that sample exactly.
+  /// quantile_of() over this histogram's buckets.
   double quantile(double q) const {
+    // Count before buckets: record() bumps a bucket before the count.
     const std::uint64_t n = count();
-    if (n == 0) return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const auto k = std::min<std::uint64_t>(
-        n - 1, static_cast<std::uint64_t>(q * static_cast<double>(n)));
-    std::uint64_t cum = 0;
+    Bins bins;
     for (std::size_t b = 0; b < kBuckets; ++b) {
-      const std::uint64_t c = buckets_[b].load(std::memory_order_relaxed);
-      if (c == 0) continue;
-      if (cum + c > k) {
-        const double lower =
-            b == 0 ? 0.0 : static_cast<double>(std::uint64_t{1} << b);
-        // The observed max sits in the highest nonempty bucket, so clamping
-        // is a no-op everywhere below it and exact at the top.
-        const double upper =
-            std::min(static_cast<double>(std::uint64_t{1} << (b + 1)),
-                     max_value());
-        const double frac = static_cast<double>(k - cum + 1) /
-                            static_cast<double>(c);
-        return lower + (upper - lower) * frac;
-      }
-      cum += c;
+      bins[b] = buckets_[b].load(std::memory_order_relaxed);
     }
-    return max_value();
+    return quantile_of(bins, n, max_value(), q);
   }
-
-  // Microsecond-named aliases kept for the serving layer, whose histograms
-  // all record microseconds.
-  double mean_us() const { return mean(); }
-  double max_us() const { return max_value(); }
-  double quantile_us(double q) const { return quantile(q); }
 
  private:
-  static std::size_t bucket_of(std::uint64_t v) {
-    std::size_t b = 0;
-    while (v > 1 && b + 1 < kBuckets) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
-  }
-
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};

@@ -16,16 +16,6 @@ double steady_seconds() {
       .count();
 }
 
-/// Same log2 bin layout as LatencyHistogram::bucket_of.
-std::size_t bin_of(std::uint64_t v, std::size_t bins) {
-  std::size_t b = 0;
-  while (v > 1 && b + 1 < bins) {
-    v >>= 1;
-    ++b;
-  }
-  return b;
-}
-
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
 }  // namespace
@@ -79,7 +69,7 @@ void SlidingWindowAggregator::record(double latency_us, bool ok) {
   if (!ok) bucket.errors += 1;
   if (latency_us > 0.0) {
     const auto v = static_cast<std::uint64_t>(latency_us);
-    bucket.bins[bin_of(v, kBins)] += 1;
+    bucket.bins[LatencyHistogram::bucket_of(v)] += 1;
     bucket.max_us = std::max(bucket.max_us, v);
   }
 }
@@ -100,7 +90,7 @@ SlidingWindowAggregator::Snapshot SlidingWindowAggregator::snapshot() const {
 
   Snapshot snap;
   snap.window_seconds = config_.window_seconds;
-  std::array<std::uint64_t, kBins> bins{};
+  LatencyHistogram::Bins bins{};
   std::uint64_t binned = 0;
   for (const Bucket& bucket : ring_) {
     if (bucket.epoch < oldest || bucket.epoch > now_epoch) continue;
@@ -119,30 +109,8 @@ SlidingWindowAggregator::Snapshot SlidingWindowAggregator::snapshot() const {
                          : static_cast<double>(snap.errors) /
                                static_cast<double>(snap.total);
 
-  // Quantiles over the merged bins, same rank + in-bucket interpolation
-  // rules as LatencyHistogram::quantile (upper edge clamped to the max).
-  const auto quantile = [&](double q) -> double {
-    if (binned == 0) return 0.0;
-    const auto k = std::min<std::uint64_t>(
-        binned - 1,
-        static_cast<std::uint64_t>(q * static_cast<double>(binned)));
-    std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < kBins; ++b) {
-      const std::uint64_t c = bins[b];
-      if (c == 0) continue;
-      if (cum + c > k) {
-        const double lower =
-            b == 0 ? 0.0 : static_cast<double>(std::uint64_t{1} << b);
-        const double upper =
-            std::min(static_cast<double>(std::uint64_t{1} << (b + 1)),
-                     snap.max_us);
-        const double frac =
-            static_cast<double>(k - cum + 1) / static_cast<double>(c);
-        return lower + (upper - lower) * frac;
-      }
-      cum += c;
-    }
-    return snap.max_us;
+  const auto quantile = [&](double q) {
+    return LatencyHistogram::quantile_of(bins, binned, snap.max_us, q);
   };
   snap.p50_us = quantile(0.50);
   snap.p95_us = quantile(0.95);

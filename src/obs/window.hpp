@@ -27,7 +27,6 @@
 // refusing work before the SLO is torched.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -78,16 +77,16 @@ class SlidingWindowAggregator {
   double window_seconds() const { return config_.window_seconds; }
 
  private:
-  // Log2 latency bins, same [2^i, 2^(i+1)) layout and interpolation rules
-  // as LatencyHistogram, but plain integers under the ring mutex.
-  static constexpr std::size_t kBins = 27;
+  // LatencyHistogram's log2 bins and quantile rule, but plain integers
+  // under the ring mutex.
+  static constexpr std::size_t kBins = LatencyHistogram::kBuckets;
 
   struct Bucket {
     std::int64_t epoch = -1;  ///< absolute bucket index; -1 = never used
     std::uint64_t total = 0;
     std::uint64_t errors = 0;
     std::uint64_t max_us = 0;
-    std::array<std::uint64_t, kBins> bins{};
+    LatencyHistogram::Bins bins{};
   };
 
   /// Clamped absolute bucket index for "now"; caller holds mutex_.

@@ -1,6 +1,5 @@
 // Service metrics: lock-free counters and latency histograms for the
-// scoring engine, dumpable as plain text (a Prometheus-shaped exposition
-// without the dependency).
+// scoring engine.
 //
 // Backed by an obs::MetricsRegistry the engine owns privately, so every
 // engine's counts stay isolated (tests assert exact values) while still
@@ -8,11 +7,6 @@
 // ScoringEngine::dump_prometheus(). The handles below are relaxed-atomic
 // pointer wrappers — hot-path writes never take a lock.
 #pragma once
-
-#include <atomic>
-#include <cstdint>
-#include <ostream>
-#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -84,41 +78,6 @@ struct ServiceMetrics {
     registry.set_help(
         "serve_stage_service_us",
         "Service time per pipeline stage (work done on the request)");
-  }
-
-  double mean_batch_occupancy() const {
-    const std::uint64_t n = batches.value();
-    return n == 0 ? 0.0
-                  : static_cast<double>(batched_requests.value()) /
-                        static_cast<double>(n);
-  }
-
-  /// Plain-text exposition, one `name value` pair per line. The line set
-  /// and formatting are pinned by test_serve — extend via the registry's
-  /// write_prometheus instead of here.
-  void dump(std::ostream& out, double cache_hit_rate) const {
-    out << "serve_requests_submitted " << requests_submitted.value() << "\n"
-        << "serve_requests_completed " << requests_completed.value() << "\n"
-        << "serve_requests_failed " << requests_failed.value() << "\n"
-        << "serve_requests_shed " << requests_shed.value() << "\n"
-        << "serve_retries " << retries.value() << "\n"
-        << "serve_empty_code_requests " << empty_code_requests.value() << "\n"
-        << "serve_batches_total " << batches.value() << "\n"
-        << "serve_batch_occupancy_mean " << mean_batch_occupancy() << "\n"
-        << "serve_model_invocations " << model_invocations.value() << "\n"
-        << "serve_model_rows " << model_rows.value() << "\n"
-        << "serve_cache_hit_rate " << cache_hit_rate << "\n"
-        << "serve_request_latency_us_p50 " << request_latency.quantile_us(0.50)
-        << "\n"
-        << "serve_request_latency_us_p95 " << request_latency.quantile_us(0.95)
-        << "\n"
-        << "serve_request_latency_us_p99 " << request_latency.quantile_us(0.99)
-        << "\n"
-        << "serve_request_latency_us_max " << request_latency.max_us() << "\n"
-        << "serve_batch_latency_us_p50 " << batch_latency.quantile_us(0.50)
-        << "\n"
-        << "serve_batch_latency_us_p99 " << batch_latency.quantile_us(0.99)
-        << "\n";
   }
 };
 

@@ -84,6 +84,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <thread>
@@ -223,9 +224,6 @@ class ScoringEngine {
 
   const ServiceMetrics& metrics() const { return metrics_; }
   CacheStats cache_stats() const { return cache_.stats(); }
-  void dump_metrics(std::ostream& out) const {
-    metrics_.dump(out, cache_.stats().hit_rate());
-  }
 
   /// The scorer this engine serves (e.g. for the RPC health handler to
   /// describe cascade stages).

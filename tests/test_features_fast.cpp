@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -392,38 +391,23 @@ TEST(FlatEnsemble, CatBoostMatchesNodewalk) {
   expect_flat_matches_nodewalk(model, train, test);
 }
 
-// --- Traversal x row-block sweep ----------------------------------------------
+// --- Partial-block sweep -----------------------------------------------------
 //
-// Every traversal mode (auto, forced walk, forced bitvector) at every
-// supported row block must reproduce the node-walk oracle bit-for-bit, on
-// odd row counts that straddle block boundaries. This is the contract that
-// lets bench_infer sweep configurations without a correctness caveat.
-
-using Traversal = ml::FlatTreeEnsemble::Traversal;
+// The compiled ensemble must reproduce the node-walk oracle bit-for-bit on
+// row counts that straddle row-block and four-row interleave boundaries.
 
 template <typename Model>
-void expect_sweep_matches_nodewalk(ml::FlatTreeEnsemble flat,
+void expect_sweep_matches_nodewalk(const ml::FlatTreeEnsemble& flat,
                                    const Model& model,
                                    std::size_t n_features) {
   for (const std::size_t rows :
        {std::size_t{63}, std::size_t{65}, std::size_t{97}}) {
     const Dataset probe = make_dataset(rows, n_features, 500 + rows);
     const std::vector<double> walked = model.predict_proba_nodewalk(probe.x);
-    for (const Traversal traversal :
-         {Traversal::kAuto, Traversal::kWalk, Traversal::kBitvector}) {
-      for (const std::size_t block :
-           {std::size_t{4}, std::size_t{16}, std::size_t{32}, std::size_t{64},
-            std::size_t{128}}) {
-        flat.set_traversal(traversal);
-        flat.set_row_block(block);
-        const std::vector<double> fast = flat.predict_proba(probe.x);
-        ASSERT_EQ(fast.size(), walked.size());
-        for (std::size_t i = 0; i < fast.size(); ++i) {
-          ASSERT_EQ(fast[i], walked[i])
-              << "traversal " << static_cast<int>(traversal) << " block "
-              << block << " rows " << rows << " row " << i;
-        }
-      }
+    const std::vector<double> fast = flat.predict_proba(probe.x);
+    ASSERT_EQ(fast.size(), walked.size());
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      ASSERT_EQ(fast[i], walked[i]) << "rows " << rows << " row " << i;
     }
   }
 }
@@ -432,8 +416,6 @@ TEST(FlatEnsembleSweep, RandomForestAllTraversalsAllBlocks) {
   const Dataset train = make_dataset(220, 7, 401);
   ml::RandomForestConfig config;
   config.n_trees = 12;
-  // Depth 9 grows trees past 64 leaves: forced kBitvector must mix
-  // QuickScorer trees with walk-fallback trees inside one ensemble.
   config.max_depth = 9;
   ml::RandomForestClassifier model(config);
   model.fit(train.x, train.y);
@@ -476,70 +458,9 @@ TEST(FlatEnsembleSweep, CatBoostAllTraversalsAllBlocks) {
       model, 6);
 }
 
-/// Complete binary tree of the given depth (2^depth leaves) with
-/// deterministic pseudo-random splits; `extra_split` converts the first
-/// leaf into one more split, pushing the leaf count past a power of two.
-std::vector<ml::TreeNode> complete_tree(std::size_t depth, bool extra_split,
-                                        std::size_t n_features,
-                                        std::uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<ml::TreeNode> nodes;
-  const std::function<int(std::size_t)> grow =
-      [&](std::size_t level) -> int {
-    const int id = static_cast<int>(nodes.size());
-    nodes.emplace_back();
-    if (level == 0) {
-      nodes[id].value = rng.uniform(-1.0, 1.0);
-      return id;  // feature stays -1: leaf
-    }
-    nodes[id].feature = static_cast<int>(rng.next_below(n_features));
-    nodes[id].threshold = rng.uniform(-2.0, 2.0);
-    const int left = grow(level - 1);
-    const int right = grow(level - 1);
-    nodes[id].left = left;  // re-index: grow() may reallocate `nodes`
-    nodes[id].right = right;
-    return id;
-  };
-  grow(depth);
-  if (extra_split) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (!nodes[i].is_leaf()) continue;
-      const int left = static_cast<int>(nodes.size());
-      nodes.emplace_back();
-      nodes.emplace_back();
-      nodes[left].value = 0.25;
-      nodes[left + 1].value = -0.25;
-      nodes[i].feature = 0;
-      nodes[i].threshold = 0.5;
-      nodes[i].left = left;
-      nodes[i].right = left + 1;
-      break;
-    }
-  }
-  return nodes;
-}
-
-TEST(FlatEnsembleSweep, BitvectorEligibilityBoundaryAt64Leaves) {
-  // A depth-6 complete tree has exactly 64 leaves — the last QuickScorer-
-  // eligible shape (leaf masks are one u64). One extra split (65 leaves)
-  // must silently fall back to the walk, with identical predictions.
-  const std::size_t n_features = 5;
-  const Dataset probe = make_dataset(65, n_features, 405);
-  for (const bool extra : {false, true}) {
-    std::vector<std::vector<ml::TreeNode>> trees;
-    trees.push_back(complete_tree(6, extra, n_features, 406));
-    ml::FlatTreeEnsemble flat = ml::FlatTreeEnsemble::from_boosted(trees, 0.1);
-    flat.set_traversal(Traversal::kBitvector);
-    EXPECT_EQ(flat.bitvector_tree_count(), extra ? 0u : 1u);
-    const std::vector<double> bitvector = flat.predict_proba(probe.x);
-    flat.set_traversal(Traversal::kWalk);
-    ASSERT_EQ(flat.predict_proba(probe.x), bitvector);
-  }
-}
-
 TEST(FlatEnsembleSweep, DenormalThresholdsStayBitIdentical) {
   // Thresholds at denormal spacing around zero: interning must keep each
-  // distinct double distinct, and every traversal must agree with the
+  // distinct double distinct, and the compiled walk must agree with the
   // scalar oracle exactly at the boundary values themselves.
   const double denorm = std::numeric_limits<double>::denorm_min();
   ml::ObliviousTree tree;
@@ -564,25 +485,19 @@ TEST(FlatEnsembleSweep, DenormalThresholdsStayBitIdentical) {
     }
   }
 
-  ml::FlatTreeEnsemble flat =
-      ml::FlatTreeEnsemble::from_oblivious(trees, base_score);
-  for (const Traversal traversal :
-       {Traversal::kAuto, Traversal::kWalk, Traversal::kBitvector}) {
-    flat.set_traversal(traversal);
-    const std::vector<double> got = flat.predict_proba(x);
-    ASSERT_EQ(got.size(), x.rows());
-    for (std::size_t row = 0; row < x.rows(); ++row) {
-      std::size_t leaf = 0;
-      for (std::size_t level = 0; level < tree.features.size(); ++level) {
-        const std::size_t feature =
-            static_cast<std::size_t>(tree.features[level]);
-        leaf = (leaf << 1) |
-               (x.at(row, feature) > tree.thresholds[level] ? 1u : 0u);
-      }
-      const double want = ml::gbdt::sigmoid(base_score + tree.leaf_values[leaf]);
-      ASSERT_EQ(got[row], want)
-          << "traversal " << static_cast<int>(traversal) << " row " << row;
+  const std::vector<double> got =
+      ml::FlatTreeEnsemble::from_oblivious(trees, base_score).predict_proba(x);
+  ASSERT_EQ(got.size(), x.rows());
+  for (std::size_t row = 0; row < x.rows(); ++row) {
+    std::size_t leaf = 0;
+    for (std::size_t level = 0; level < tree.features.size(); ++level) {
+      const std::size_t feature =
+          static_cast<std::size_t>(tree.features[level]);
+      leaf = (leaf << 1) |
+             (x.at(row, feature) > tree.thresholds[level] ? 1u : 0u);
     }
+    const double want = ml::gbdt::sigmoid(base_score + tree.leaf_values[leaf]);
+    ASSERT_EQ(got[row], want) << "row " << row;
   }
 }
 

@@ -384,7 +384,7 @@ TEST_F(InterpreterTest, SelfdestructSendsBalance) {
   EXPECT_EQ(run(a.build()).status, Status::kSuccess);
   EXPECT_EQ(state_.get_balance(caller_), U256(77));
   EXPECT_EQ(state_.get_balance(contract_), U256());
-  EXPECT_TRUE(state_.get_code(contract_).empty());
+  EXPECT_TRUE(state_.get_code(contract_)->empty());
 }
 
 TEST_F(InterpreterTest, CreateDeploysRuntimeCode) {
@@ -400,8 +400,8 @@ TEST_F(InterpreterTest, CreateDeploysRuntimeCode) {
   // helper deploy() on state instead.
   const Address created = state_.deploy(caller_, init_code.bytes());
   EXPECT_FALSE(created.is_zero());
-  EXPECT_EQ(state_.get_code(created).size(), 1u);
-  EXPECT_EQ(state_.get_code(created).bytes()[0], 0x00);
+  EXPECT_EQ(state_.get_code(created)->size(), 1u);
+  EXPECT_EQ(state_.get_code(created)->bytes()[0], 0x00);
 }
 
 TEST_F(InterpreterTest, GasOpcodeReportsRemaining) {

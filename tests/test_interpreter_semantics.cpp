@@ -4,7 +4,9 @@
 // gas components (EXP bytes, SHA3 words, LOG data, memory expansion).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "chain/state.hpp"
 #include "evm/interpreter.hpp"
@@ -167,6 +169,43 @@ TEST_F(InterpreterSemantics, ExtcodeOpcodesSeeOtherAccounts) {
               a.push(0x1234).op(Op::kExtcodehash);
             }),
             U256(0));
+}
+
+TEST_F(InterpreterSemantics, ExtcodecopyCopiesWindowsOfOtherCode) {
+  const Bytecode deployed(
+      std::vector<std::uint8_t>{0x11, 0x22, 0x33, 0x44, 0x55, 0x66});
+  state_.set_code(other_, deployed);
+  const U256 ones = U256::max();
+  // Fills memory word 0 with 0xFF bytes, EXTCODECOPYs `len` bytes of
+  // `account`'s code from `src` over it, and returns the word: copied bytes
+  // land at the front and the rest of the window is zero-filled.
+  const auto copy_word = [&](const Address& account, std::uint64_t src,
+                             std::uint64_t len) {
+    return run_for_word([&](Assembler& a) {
+      a.push(ones).push(0x00).op(Op::kMstore);
+      a.push(len).push(src).push(0x00).push_bytes(account.bytes());
+      a.op(Op::kExtcodecopy);
+      a.push(0x00).op(Op::kMload);
+    });
+  };
+  const auto bytes_then_ones = [&](std::vector<std::uint8_t> head) {
+    std::vector<std::uint8_t> word(32, 0xFF);
+    std::copy(head.begin(), head.end(), word.begin());
+    return U256::from_bytes_be(word);
+  };
+
+  // Interior slice: exactly the requested bytes, memory after it untouched.
+  EXPECT_EQ(copy_word(other_, 1, 3), bytes_then_ones({0x22, 0x33, 0x44}));
+  // Window running off the end: the code's tail, then zeros.
+  EXPECT_EQ(copy_word(other_, 4, 5),
+            bytes_then_ones({0x55, 0x66, 0x00, 0x00, 0x00}));
+  // Source offset past the end: all zeros.
+  EXPECT_EQ(copy_word(other_, 9, 4), bytes_then_ones({0, 0, 0, 0}));
+  // Account without code: all zeros.
+  EXPECT_EQ(copy_word(Address::from_hex(
+                          "0x0000000000000000000000000000000000001234"),
+                      0, 4),
+            bytes_then_ones({0, 0, 0, 0}));
 }
 
 TEST_F(InterpreterSemantics, ReturndataAfterCall) {

@@ -157,8 +157,7 @@ TEST_F(ParallelDeterminism, CatBoostBitIdentical) {
 TEST_F(ParallelDeterminism, FlatEnsembleTraversalsBitIdenticalAcrossThreads) {
   // The serving-side flat predictor chunks rows across the pool with each
   // chunk's accumulation fully row-local, so 1 and 4 threads must produce
-  // the same bytes — for the production auto traversal and the forced
-  // bitvector path alike, on both tree kinds (binary and oblivious).
+  // the same bytes on both tree kinds (binary and oblivious).
   const Dataset data = make_dataset(230, 6, 108);
   RandomForestConfig rf_config;
   rf_config.n_trees = 10;
@@ -174,13 +173,9 @@ TEST_F(ParallelDeterminism, FlatEnsembleTraversalsBitIdenticalAcrossThreads) {
   flats.push_back(FlatTreeEnsemble::from_forest(forest.trees()));
   flats.push_back(
       FlatTreeEnsemble::from_oblivious(catboost.trees(), catboost.base_score()));
-  for (FlatTreeEnsemble& flat : flats) {
-    for (const auto traversal : {FlatTreeEnsemble::Traversal::kAuto,
-                                 FlatTreeEnsemble::Traversal::kBitvector}) {
-      flat.set_traversal(traversal);
-      const auto run = [&] { return flat.predict_proba(data.x); };
-      expect_identical(at_threads(1, run), at_threads(4, run));
-    }
+  for (const FlatTreeEnsemble& flat : flats) {
+    const auto run = [&] { return flat.predict_proba(data.x); };
+    expect_identical(at_threads(1, run), at_threads(4, run));
   }
 }
 

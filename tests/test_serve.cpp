@@ -401,59 +401,10 @@ TEST(Metrics, HistogramQuantilesBracketRecordedValues) {
   for (int i = 0; i < 99; ++i) histogram.record(100.0);  // bucket [64, 128)
   histogram.record(100000.0);  // one 100ms outlier
   EXPECT_EQ(histogram.count(), 100u);
-  EXPECT_NEAR(histogram.mean_us(), 1099.0, 1.0);
-  EXPECT_EQ(histogram.max_us(), 100000.0);
-  EXPECT_LE(histogram.quantile_us(0.50), 256.0);
-  EXPECT_GE(histogram.quantile_us(0.995), 65536.0);
-}
-
-TEST(Metrics, DumpContainsCountersAndOccupancy) {
-  serve::ServiceMetrics metrics;
-  metrics.requests_submitted.inc(10);
-  metrics.requests_completed.inc(10);
-  metrics.batches.inc(2);
-  metrics.batched_requests.inc(10);
-  metrics.request_latency.record(50.0);
-  EXPECT_DOUBLE_EQ(metrics.mean_batch_occupancy(), 5.0);
-
-  std::ostringstream out;
-  metrics.dump(out, 0.75);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("serve_requests_completed 10"), std::string::npos);
-  EXPECT_NE(text.find("serve_batch_occupancy_mean 5"), std::string::npos);
-  EXPECT_NE(text.find("serve_cache_hit_rate 0.75"), std::string::npos);
-}
-
-TEST(Metrics, DumpFormatIsByteStable) {
-  // The dump() exposition is a public text interface (scrapers parse it);
-  // this pins every line and the ostream double formatting exactly.
-  serve::ServiceMetrics metrics;
-  metrics.requests_submitted.inc(10);
-  metrics.requests_completed.inc(10);
-  metrics.batches.inc(2);
-  metrics.batched_requests.inc(10);
-  metrics.request_latency.record(50.0);  // single sample: every quantile 50
-
-  std::ostringstream out;
-  metrics.dump(out, 0.75);
-  EXPECT_EQ(out.str(),
-            "serve_requests_submitted 10\n"
-            "serve_requests_completed 10\n"
-            "serve_requests_failed 0\n"
-            "serve_requests_shed 0\n"
-            "serve_retries 0\n"
-            "serve_empty_code_requests 0\n"
-            "serve_batches_total 2\n"
-            "serve_batch_occupancy_mean 5\n"
-            "serve_model_invocations 0\n"
-            "serve_model_rows 0\n"
-            "serve_cache_hit_rate 0.75\n"
-            "serve_request_latency_us_p50 50\n"
-            "serve_request_latency_us_p95 50\n"
-            "serve_request_latency_us_p99 50\n"
-            "serve_request_latency_us_max 50\n"
-            "serve_batch_latency_us_p50 0\n"
-            "serve_batch_latency_us_p99 0\n");
+  EXPECT_NEAR(histogram.mean(), 1099.0, 1.0);
+  EXPECT_EQ(histogram.max_value(), 100000.0);
+  EXPECT_LE(histogram.quantile(0.50), 256.0);
+  EXPECT_GE(histogram.quantile(0.995), 65536.0);
 }
 
 TEST(Metrics, ScopedTimerFeedsSink) {
@@ -1012,10 +963,14 @@ TEST_F(ScoringEngineTest, MetricsDumpAfterTraffic) {
   engine.score_all(addresses_);  // second pass: warm cache
 
   std::ostringstream out;
-  engine.dump_metrics(out);
-  EXPECT_NE(out.str().find("serve_request_latency_us_p95"), std::string::npos);
+  engine.dump_prometheus(out);
+  const std::string text = out.str();
+  const std::string count_key = "serve_request_latency_us_count ";
+  const std::size_t at = text.find(count_key);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_GT(std::stoull(text.substr(at + count_key.size())), 0u);
   EXPECT_GT(engine.metrics().batches.value(), 0u);
-  EXPECT_GT(engine.metrics().mean_batch_occupancy(), 0.0);
+  EXPECT_GT(engine.metrics().batched_requests.value(), 0u);
   EXPECT_GT(engine.cache_stats().hit_rate(), 0.4);
 }
 

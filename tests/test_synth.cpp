@@ -197,7 +197,7 @@ TEST(Synth, InitCodeWrapperDeploysRuntime) {
   const Address created = state.deploy(
       Address::from_hex("0x00000000000000000000000000000000000000bb"),
       init.bytes());
-  EXPECT_EQ(state.get_code(created).bytes(), contract.runtime.bytes());
+  EXPECT_EQ(state.get_code(created)->bytes(), contract.runtime.bytes());
 }
 
 TEST(Synth, MetadataTrailerPresent) {
