@@ -19,10 +19,12 @@
 # SLO sample and per-stage queue-wait/service-time attribution rows, plus
 # the network row the socket-path scenario emits, whose engine queue-wait
 # p50 must stay <= 0.25x its client RTT p50), a scrape smoke
-# (stream_follower serving /metrics,/vars,/healthz on loopback mid-run,
+# (stream_follower serving /metrics and /healthz on loopback mid-run,
 # exposition linted, health JSON schema-checked), and a JSON-RPC smoke
-# (score_server on ephemeral ports, a single phook_score plus a mixed batch
-# over real sockets, response shape and net_* metrics asserted), so the perf
+# (score_server on one ephemeral port, a single phook_score plus a mixed
+# batch over real sockets, response shape asserted, then /metrics linted
+# for the net_* and serve_* series and /healthz checked for the
+# phook_health document, all from the RPC port), so the perf
 # trajectory, the telemetry surface, and the fault-isolation contract all
 # stay machine-checked across PRs. The ASan leg runs the full suite, including
 # the fast-vs-legacy equivalence tests (test_features_fast). The TSan leg
@@ -31,7 +33,8 @@
 # test_net, hammering the event loop and its cross-thread replies with
 # concurrent clients.
 #
-#   ./ci.sh            # all three variants
+#   ./ci.sh            # all four legs: release (with the benches and
+#                      # smokes), asan, tsan, nosimd
 #
 # Build trees live under build-ci-* so they never collide with a developer's
 # ./build. Any failure aborts the script (set -e) and leaves the offending
@@ -314,19 +317,17 @@ print(f"BENCH_cascade.json ok: {len(rows)} bands, best gate-passing band "
 PY
 }
 
-check_prometheus() {
-  local prom="$1"
-  echo "=== bench_serve_throughput: ${prom} ==="
-  if [[ ! -f "${prom}" ]]; then
-    echo "ci.sh: ${prom} missing" >&2
-    exit 1
-  fi
-  python3 - "${prom}" <<'PY'
+# Lints a Prometheus text exposition: every line is a HELP/TYPE comment or
+# a well-formed sample, each TYPE follows its name's HELP, and every metric
+# name given after the file appears in it.
+lint_prometheus() {
+  python3 - "$@" <<'PY'
 import re, sys
+path, required = sys.argv[1], sys.argv[2:]
 line_re = re.compile(
     r'^[A-Za-z_:][A-Za-z0-9_:]*(\{[^{}]*\})? (-?[0-9.eE+-]+|nan|inf)$')
-lines = [l.rstrip() for l in open(sys.argv[1]) if l.strip()]
-assert lines, "empty exposition"
+lines = [l.rstrip() for l in open(path) if l.strip()]
+assert lines, f"{path}: empty exposition"
 samples = 0
 helped = set()
 for line in lines:
@@ -336,16 +337,26 @@ for line in lines:
     if line.startswith("# TYPE "):
         # Exposition-format conformance: HELP precedes TYPE per name.
         name = line.split()[2]
-        assert name in helped, f"# TYPE {name} without a preceding # HELP"
+        assert name in helped, f"{path}: # TYPE {name} without a preceding # HELP"
         continue
-    assert line_re.match(line), f"malformed exposition line: {line!r}"
+    assert line_re.match(line), f"{path}: malformed exposition line: {line!r}"
     samples += 1
-names = " ".join(lines)
-for required in ("serve_requests_completed", "serve_cache_hit_rate",
-                 "serve_request_latency_us", "threadpool_tasks_total"):
-    assert required in names, f"missing metric {required}"
-print(f"{sys.argv[1]} ok: {samples} samples")
+text = "\n".join(lines)
+for name in required:
+    assert name in text, f"{path}: missing metric {name}"
+print(f"{path} ok: {samples} samples")
 PY
+}
+
+check_prometheus() {
+  local prom="$1"
+  echo "=== bench_serve_throughput: ${prom} ==="
+  if [[ ! -f "${prom}" ]]; then
+    echo "ci.sh: ${prom} missing" >&2
+    exit 1
+  fi
+  lint_prometheus "${prom}" serve_requests_completed serve_cache_hit_rate \
+    serve_request_latency_us threadpool_tasks_total
 }
 
 check_trace() {
@@ -436,11 +447,11 @@ PY
   fi
 }
 
-# Scrape smoke: stream_follower serving /metrics, /vars and /healthz on an
-# ephemeral loopback port while the pipeline runs. Pulls all three paths
-# mid-run, lints the /metrics exposition (grammar + HELP/TYPE pairing +
-# the windowed SLO series the pre-scrape hooks refresh), and checks the
-# health JSON and the follower's own exit status.
+# Scrape smoke: stream_follower serving /metrics and /healthz on an
+# ephemeral loopback port while the pipeline runs. Pulls both paths mid-run,
+# lints the /metrics exposition (grammar + HELP/TYPE pairing + the windowed
+# SLO series the pre-scrape hooks refresh), and checks the health JSON and
+# the follower's own exit status.
 run_scrape_smoke() {
   local dir="$1"
   echo "=== stream_follower: scrape smoke ==="
@@ -462,57 +473,27 @@ run_scrape_smoke() {
     kill "${follower_pid}" 2>/dev/null || true
     exit 1
   fi
-  local base="${url%/metrics}"
 
-  local path
-  for path in metrics vars healthz; do
-    if ! fetch_url "${base}/${path}" "${dir}/scrape_${path}.out.tmp"; then
-      echo "ci.sh: scrape smoke could not fetch ${base}/${path}" >&2
-      cat "${dir}/scrape_smoke.out" >&2 || true
-      kill "${follower_pid}" 2>/dev/null || true
-      exit 1
-    fi
-  done
-  mv "${dir}/scrape_metrics.out.tmp" "${dir}/scrape_metrics.prom"
-  mv "${dir}/scrape_vars.out.tmp" "${dir}/scrape_vars.json"
-  mv "${dir}/scrape_healthz.out.tmp" "${dir}/scrape_healthz.json"
+  if ! fetch_url "${url}/metrics" "${dir}/scrape_metrics.prom" ||
+     ! fetch_url "${url}/healthz" "${dir}/scrape_healthz.json"; then
+    echo "ci.sh: scrape smoke could not fetch from ${url}" >&2
+    cat "${dir}/scrape_smoke.out" >&2 || true
+    kill "${follower_pid}" 2>/dev/null || true
+    exit 1
+  fi
   if ! wait "${follower_pid}"; then
     echo "ci.sh: stream_follower exited nonzero under the scrape smoke" >&2
     cat "${dir}/scrape_smoke.out" >&2 || true
     exit 1
   fi
 
-  python3 - "${dir}/scrape_metrics.prom" "${dir}/scrape_vars.json" \
-    "${dir}/scrape_healthz.json" <<'PY'
-import json, re, sys
-line_re = re.compile(
-    r'^[A-Za-z_:][A-Za-z0-9_:]*(\{[^{}]*\})? (-?[0-9.eE+-]+|nan|inf)$')
-lines = [l.rstrip() for l in open(sys.argv[1]) if l.strip()]
-assert lines, "empty /metrics body"
-helped = set()
-samples = 0
-for line in lines:
-    if line.startswith("# HELP "):
-        helped.add(line.split()[2])
-        continue
-    if line.startswith("# TYPE "):
-        name = line.split()[2]
-        assert name in helped, f"# TYPE {name} without a preceding # HELP"
-        continue
-    assert line_re.match(line), f"malformed exposition line: {line!r}"
-    samples += 1
-text = "\n".join(lines)
-for required in ("stream_requests_submitted", "stream_window_rate_per_sec",
-                 "stream_window_p99_us", "stream_error_burn_rate",
-                 "stream_shed_pressure", "stream_stage_wait_us",
-                 "trace_events_buffered", "serve_requests_completed"):
-    assert required in text, f"missing metric {required} in /metrics"
-
-doc = json.load(open(sys.argv[2]))
-assert isinstance(doc.get("registries"), list) and doc["registries"], \
-    "/vars missing registries array"
-
-health = json.load(open(sys.argv[3]))
+  lint_prometheus "${dir}/scrape_metrics.prom" stream_requests_submitted \
+    stream_window_rate_per_sec stream_window_p99_us stream_error_burn_rate \
+    stream_shed_pressure stream_stage_wait_us trace_events_buffered \
+    serve_requests_completed
+  python3 - "${dir}/scrape_healthz.json" <<'PY'
+import json, sys
+health = json.load(open(sys.argv[1]))
 assert health.get("status") in ("running", "draining", "drained"), \
     f"unexpected health status {health.get('status')!r}"
 for key in ("submitted", "completed", "failed", "shed", "queues"):
@@ -521,37 +502,35 @@ for queue in ("addresses",):
     for key in ("size", "capacity", "closed"):
         assert key in health["queues"][queue], \
             f"/healthz queue {queue} missing {key}"
-print(f"scrape smoke ok: {samples} exposition samples, "
-      f"health status {health['status']!r}")
+print(f"scrape smoke ok: health status {health['status']!r}")
 PY
 }
 
-# JSON-RPC smoke: score_server on ephemeral ports, score a freshly mined
-# address over the socket (single call + mixed batch), and assert both the
-# JSON-RPC 2.0 response shape and the presence of the net_* series in the
-# scraped /metrics exposition.
+# JSON-RPC smoke: score_server on one ephemeral port. Scores a freshly
+# mined address over the socket (single call + mixed batch) and asserts the
+# JSON-RPC 2.0 response shape; then, from the same port, lints /metrics for
+# the net_* and serve_* series and checks that /healthz is the phook_health
+# document.
 run_rpc_smoke() {
   local dir="$1"
   echo "=== score_server: json-rpc smoke ==="
   rm -f "${dir}/rpc_smoke.out"
   (cd "${dir}" && ./examples/score_server --seconds 8 \
-    --metrics-port 0 > rpc_smoke.out 2>&1) &
+    > rpc_smoke.out 2>&1) &
   local server_pid=$!
 
-  # The server prints its RPC URL, metrics URL and a scoreable address
-  # once the chain is pre-mined and both listeners are bound.
+  # The server prints its RPC URL and a scoreable address once the chain
+  # is pre-mined and the listener is bound.
   local addr="" tries=0
   while [[ -z "${addr}" && ${tries} -lt 150 ]]; do
     addr="$(grep -o '== sample_address: 0x[0-9a-fA-F]*' \
             "${dir}/rpc_smoke.out" 2>/dev/null | awk '{print $3}' || true)"
     [[ -z "${addr}" ]] && sleep 0.1 && tries=$((tries + 1))
   done
-  local rpc_url metrics_url
+  local rpc_url
   rpc_url="$(grep -o '== rpc: http://127\.0\.0\.1:[0-9]*/' \
              "${dir}/rpc_smoke.out" 2>/dev/null | awk '{print $3}' || true)"
-  metrics_url="$(grep -o '== metrics: http://127\.0\.0\.1:[0-9]*/metrics' \
-                 "${dir}/rpc_smoke.out" 2>/dev/null | awk '{print $3}' || true)"
-  if [[ -z "${addr}" || -z "${rpc_url}" || -z "${metrics_url}" ]]; then
+  if [[ -z "${addr}" || -z "${rpc_url}" ]]; then
     echo "ci.sh: rpc smoke never printed its endpoints" >&2
     cat "${dir}/rpc_smoke.out" >&2 || true
     kill "${server_pid}" 2>/dev/null || true
@@ -564,7 +543,8 @@ run_rpc_smoke() {
   batch_body+='{"jsonrpc":"2.0","id":"h","method":"phook_health"}]'
   if ! post_url "${rpc_url}" "${single_body}" "${dir}/rpc_single.json" ||
      ! post_url "${rpc_url}" "${batch_body}" "${dir}/rpc_batch.json" ||
-     ! fetch_url "${metrics_url}" "${dir}/rpc_metrics.prom"; then
+     ! fetch_url "${rpc_url}metrics" "${dir}/rpc_metrics.prom" ||
+     ! fetch_url "${rpc_url}healthz" "${dir}/rpc_healthz.json"; then
     echo "ci.sh: rpc smoke request failed against ${rpc_url}" >&2
     cat "${dir}/rpc_smoke.out" >&2 || true
     kill "${server_pid}" 2>/dev/null || true
@@ -576,8 +556,12 @@ run_rpc_smoke() {
     exit 1
   fi
 
+  lint_prometheus "${dir}/rpc_metrics.prom" net_requests_total \
+    net_responses_total net_connections_active net_batch_calls_total \
+    net_stage_service_us net_request_total_us serve_requests_completed \
+    serve_cache_hit_rate
   python3 - "${dir}/rpc_single.json" "${dir}/rpc_batch.json" \
-    "${dir}/rpc_metrics.prom" "${addr}" <<'PY'
+    "${dir}/rpc_healthz.json" "${addr}" <<'PY'
 import json, sys
 addr = sys.argv[4]
 
@@ -619,11 +603,11 @@ for stage in cascade["stages"]:
         assert key in stage, f"cascade stage missing {key}: {stage!r}"
 assert cascade["stages"][0]["rows"] >= 1, f"stage 0 never scored: {cascade!r}"
 
-text = open(sys.argv[3]).read()
-for required in ("net_requests_total", "net_responses_total",
-                 "net_connections_active", "net_batch_calls_total",
-                 "net_stage_service_us", "net_request_total_us"):
-    assert required in text, f"missing net metric {required} in /metrics"
+# /healthz on the RPC port is the same phook_health document.
+healthz = json.load(open(sys.argv[3]))
+assert healthz.get("status") == "ok", f"/healthz status {healthz!r}"
+for key in ("engine", "cache", "net", "cascade"):
+    assert key in healthz, f"/healthz missing {key}: {healthz!r}"
 print(f"rpc smoke ok: scored {addr} "
       f"(p={single['result']['probability']:.3f}, "
       f"trace {single['result']['trace_id']})")

@@ -28,7 +28,7 @@
 //                      (completed + failed + shed == submitted); the ci.sh
 //                      chaos smoke step runs this at 10% and checks the
 //                      per-status summary.
-//   --metrics-port <p> serve /metrics, /vars and /healthz on
+//   --metrics-port <p> serve /metrics and /healthz on
 //                      127.0.0.1:<p> for the lifetime of the run (0 picks
 //                      an ephemeral port, printed at startup); the
 //                      exposition covers the engine registry and the
@@ -52,7 +52,7 @@
 #include "common/timer.hpp"
 #include "core/experiment.hpp"
 #include "ml/random_forest.hpp"
-#include "net/scrape_server.hpp"
+#include "net/json_rpc_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/artifact.hpp"
@@ -158,9 +158,10 @@ int main(int argc, char** argv) {
   engine_config.max_batch = 16;
   serve::ScoringEngine engine(upstream, *detector, engine_config);
 
-  // Scrape endpoint over the engine's registry + the process-wide one;
-  // cache stats and tracer ring health are synced per scrape by hooks.
-  net::ScrapeServer scrape;
+  // Scrape endpoint (an HTTP server with no JSON-RPC methods) over the
+  // engine's registry + the process-wide one; cache stats and tracer ring
+  // health are synced per scrape by hooks.
+  net::JsonRpcServer scrape;
   if (metrics_port >= 0) {
     scrape.add_registry(engine.prometheus_registry());
     scrape.add_registry(obs::MetricsRegistry::global());
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
       obs::Tracer::global().export_metrics(obs::MetricsRegistry::global());
     });
     scrape.start(static_cast<std::uint16_t>(metrics_port));
-    std::printf("metrics: http://127.0.0.1:%u/metrics (also /vars, /healthz)\n",
+    std::printf("metrics: http://127.0.0.1:%u/metrics (also /healthz)\n",
                 scrape.port());
     std::fflush(stdout);  // external scrapers poll stdout for this URL
   }

@@ -5,11 +5,11 @@
 // two-stage model cascade (logreg stage 0, random-forest escalation inside
 // the uncertainty band) is fitted on a synthetic labeled set, a
 // ScoringEngine serves it, and serve::RpcFrontend exposes phook_score /
-// phook_scoreBatch / phook_health over HTTP POST on loopback. A ScrapeServer on a second port
-// serves /metrics with the engine's serve_* series and the front door's
-// net_* series side by side.
+// phook_scoreBatch / phook_health over HTTP POST on loopback. The same port
+// answers GET /metrics (the engine's serve_* series and the front door's
+// net_* series side by side) and GET /healthz (the phook_health document).
 //
-//   ./score_server                       # ephemeral ports, 30s, then exit
+//   ./score_server                       # ephemeral port, 30s, then exit
 //   ./score_server --port 9545 --seconds 120
 //
 // Prints, before serving: the RPC URL, the metrics URL, and a sample
@@ -20,14 +20,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/model_registry.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/random_forest.hpp"
-#include "net/scrape_server.hpp"
 #include "serve/cascade.hpp"
 #include "serve/rpc_frontend.hpp"
 #include "serve/scoring_engine.hpp"
@@ -73,8 +71,7 @@ std::unique_ptr<serve::CascadeScorer> fit_cascade(serve::CascadeConfig band) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int port = 0;          // 0 = kernel-assigned
-  int metrics_port = 0;  // -1 disables the scrape endpoint
+  int port = 0;  // 0 = kernel-assigned
   double seconds = 30.0;
   serve::CascadeConfig band;  // [0.35, 0.65]; --band-lo 1 --band-hi 0 disables
   for (int i = 1; i < argc; ++i) {
@@ -86,8 +83,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--port") == 0) {
       port = next_int(port);
-    } else if (std::strcmp(argv[i], "--metrics-port") == 0) {
-      metrics_port = next_int(metrics_port);
     } else if (std::strcmp(argv[i], "--seconds") == 0) {
       seconds = next_double(seconds);
     } else if (std::strcmp(argv[i], "--band-lo") == 0) {
@@ -96,8 +91,8 @@ int main(int argc, char** argv) {
       band.hi = next_double(band.hi);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--port N] [--metrics-port N|-1] "
-                   "[--seconds S] [--band-lo P] [--band-hi P]\n",
+                   "usage: %s [--port N] [--seconds S] [--band-lo P] "
+                   "[--band-hi P]\n",
                    argv[0]);
       return 2;
     }
@@ -121,32 +116,11 @@ int main(int argc, char** argv) {
   serve::RpcFrontend frontend(engine);
   frontend.start(static_cast<std::uint16_t>(port));
 
-  net::ScrapeServer scrape;
-  if (metrics_port >= 0) {
-    scrape.add_registry(engine.prometheus_registry());
-    scrape.add_registry(frontend.server().metrics_registry());
-    scrape.add_pre_scrape_hook([&engine] { engine.export_pull_metrics(); });
-    scrape.add_pre_scrape_hook(
-        [&frontend] { frontend.server().export_metrics(); });
-    scrape.set_health([&engine, &frontend] {
-      std::ostringstream body;
-      body << "{\"status\":\"ok\",\"requests_received\":"
-           << frontend.server().requests_received()
-           << ",\"requests_completed\":"
-           << engine.metrics().requests_completed.value() << "}";
-      return body.str();
-    });
-    scrape.start(static_cast<std::uint16_t>(metrics_port));
-  }
-
-  // The ci.sh smoke greps these three lines, then curls; they must hit the
-  // pipe the moment the sockets are live.
+  // The ci.sh smoke greps these lines, then curls; they must hit the pipe
+  // the moment the socket is live.
   std::printf("== rpc: http://127.0.0.1:%u/\n", frontend.port());
-  if (metrics_port >= 0) {
-    std::printf("== metrics: http://127.0.0.1:%u/metrics (also /vars, "
-                "/healthz)\n",
-                scrape.port());
-  }
+  std::printf("== metrics: http://127.0.0.1:%u/metrics (also /healthz)\n",
+              frontend.port());
   std::printf("== sample_address: %s\n", tail.records.front().address.to_hex().c_str());
   std::printf("== serving for %.0fs; score with\n"
               "   curl -s -X POST http://127.0.0.1:%u/ -d "
@@ -163,7 +137,6 @@ int main(int argc, char** argv) {
   }
 
   frontend.stop();
-  if (metrics_port >= 0) scrape.stop();
   std::printf("== served %llu rpc requests, engine completed %llu\n",
               static_cast<unsigned long long>(
                   frontend.server().requests_received()),

@@ -18,7 +18,7 @@
 //   --chaos <rate>     fault-inject the follower's code fetches:
 //                      eth_getCode throws at <rate> on a seeded schedule
 //   --metrics <path>   write the stream + engine Prometheus expositions
-//   --metrics-port <p> serve /metrics, /vars and /healthz on
+//   --metrics-port <p> serve /metrics and /healthz on
 //                      127.0.0.1:<p> while the pipeline runs (0 = pick an
 //                      ephemeral port, printed at startup). Scrapes show
 //                      the stream + engine registries with the windowed
@@ -36,7 +36,7 @@
 #include "chain/fault_injection.hpp"
 #include "core/model_registry.hpp"
 #include "ml/random_forest.hpp"
-#include "net/scrape_server.hpp"
+#include "net/json_rpc_server.hpp"
 #include "obs/trace.hpp"
 #include "serve/scoring_engine.hpp"
 #include "stream/coordinator.hpp"
@@ -127,10 +127,11 @@ int main(int argc, char** argv) {
               chaos ? ", chaos on the follower" : "");
   stream::StreamCoordinator coordinator(live, engine, config, chaos.get());
 
-  // Scrape endpoint over both registries. Hooks re-evaluate the SLO window
-  // and sync cache/tracer state on every pull, and /healthz exposes the
-  // coordinator's live drain/queue state.
-  net::ScrapeServer scrape;
+  // Scrape endpoint over both registries: an HTTP server with no JSON-RPC
+  // methods. Hooks re-evaluate the SLO window and sync cache/tracer state
+  // on every pull, and /healthz exposes the coordinator's live drain/queue
+  // state.
+  net::JsonRpcServer scrape;
   if (metrics_port >= 0) {
     scrape.add_registry(coordinator.registry());
     scrape.add_registry(engine.prometheus_registry());
@@ -141,8 +142,7 @@ int main(int argc, char** argv) {
     });
     scrape.set_health([&coordinator] { return coordinator.health_json(); });
     scrape.start(static_cast<std::uint16_t>(metrics_port));
-    std::printf("== metrics: http://127.0.0.1:%u/metrics "
-                "(also /vars, /healthz)\n",
+    std::printf("== metrics: http://127.0.0.1:%u/metrics (also /healthz)\n",
                 scrape.port());
     // Scrapers watching our stdout (the ci.sh smoke) need the URL the
     // moment the server is up, not when the stdio buffer happens to drain.

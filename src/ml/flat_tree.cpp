@@ -4,7 +4,6 @@
 #include <limits>
 #include <string>
 #include <tuple>
-#include <utility>
 
 #include "common/errors.hpp"
 #include "common/thread_pool.hpp"
@@ -33,68 +32,18 @@ FlatInstruments& flat_instruments() {
 
 // --- compilation -------------------------------------------------------------
 
-void FlatTreeEnsemble::build_cut_tables(
-    std::vector<std::pair<std::int32_t, double>> tests) {
-  cut_offset_.assign(n_features_ + 1, 0);
-  cut_len_.assign(n_features_, 0);
-  cuts_.clear();
-  if (n_features_ == 0) return;
-  // Counting sort by feature, then sort + dedup each feature's thresholds.
-  // Exact `==` dedup is sound: equal doubles (including -0.0 vs 0.0) decide
-  // every `<=`/`>` test identically, so they share one rank.
-  std::sort(tests.begin(), tests.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second < b.second;
-  });
-  cuts_.reserve(tests.size());
-  std::size_t i = 0;
-  for (std::int32_t f = 0; f < static_cast<std::int32_t>(n_features_); ++f) {
-    cut_offset_[static_cast<std::size_t>(f)] =
-        static_cast<std::uint32_t>(cuts_.size());
-    while (i < tests.size() && tests[i].first == f) {
-      if (cuts_.size() ==
-              cut_offset_[static_cast<std::size_t>(f)] ||
-          cuts_.back() != tests[i].second) {
-        cuts_.push_back(tests[i].second);
-      }
-      ++i;
-    }
-    cut_len_[static_cast<std::size_t>(f)] = static_cast<std::uint32_t>(
-        cuts_.size() - cut_offset_[static_cast<std::size_t>(f)]);
-  }
-  cut_offset_[n_features_] = static_cast<std::uint32_t>(cuts_.size());
-}
-
-std::uint32_t FlatTreeEnsemble::rank_of(std::int32_t feature,
-                                        double threshold) const {
-  const double* begin = cuts_.data() + cut_offset_[static_cast<std::size_t>(feature)];
-  const double* end = begin + cut_len_[static_cast<std::size_t>(feature)];
-  return static_cast<std::uint32_t>(std::lower_bound(begin, end, threshold) -
-                                    begin);
-}
-
-double FlatTreeEnsemble::intern_threshold(std::int32_t feature,
-                                          double threshold) const {
-  return cuts_[cut_offset_[static_cast<std::size_t>(feature)] +
-               rank_of(feature, threshold)];
-}
-
 void FlatTreeEnsemble::compile_binary(
     const std::vector<std::span<const TreeNode>>& trees) {
   tree_count_ = trees.size();
   node_count_ = 0;
   std::int32_t max_feature = -1;
-  std::vector<std::pair<std::int32_t, double>> tests;
   for (std::span<const TreeNode> tree : trees) {
     node_count_ += tree.size();
     for (const TreeNode& node : tree) {
-      if (node.is_leaf()) continue;
-      max_feature = std::max(max_feature, node.feature);
-      tests.emplace_back(node.feature, node.threshold);
+      if (!node.is_leaf()) max_feature = std::max(max_feature, node.feature);
     }
   }
   n_features_ = static_cast<std::size_t>(max_feature + 1);
-  build_cut_tables(std::move(tests));
 
   trees_.clear();
   trees_.reserve(tree_count_);
@@ -133,7 +82,7 @@ void FlatTreeEnsemble::compile_binary(
       walk_node_value_.push_back(0.0);
       walk_node_value_.push_back(0.0);
       WalkNode& out = walk_nodes_[dst];
-      out.threshold = intern_threshold(node.feature, node.threshold);
+      out.threshold = node.threshold;
       out.feature = node.feature;
       out.left = static_cast<std::int32_t>(children);
       work.emplace_back(node.left, children, depth + 1);
@@ -175,18 +124,15 @@ void FlatTreeEnsemble::compile_oblivious(
   std::size_t total_levels = 0;
   std::size_t total_leaves = 0;
   std::int32_t max_feature = -1;
-  std::vector<std::pair<std::int32_t, double>> tests;
   for (const ObliviousTree& tree : trees) {
     total_levels += tree.features.size();
     total_leaves += tree.leaf_values.size();
-    for (std::size_t l = 0; l < tree.features.size(); ++l) {
-      max_feature = std::max(max_feature, tree.features[l]);
-      tests.emplace_back(tree.features[l], tree.thresholds[l]);
+    for (const std::int32_t feature : tree.features) {
+      max_feature = std::max(max_feature, feature);
     }
   }
   node_count_ = total_levels + total_leaves;
   n_features_ = static_cast<std::size_t>(max_feature + 1);
-  build_cut_tables(std::move(tests));
 
   level_feature_.clear();
   level_threshold_.clear();
@@ -206,8 +152,7 @@ void FlatTreeEnsemble::compile_oblivious(
     leaf_offset_.push_back(static_cast<std::uint32_t>(leaf_value_.size()));
     for (std::size_t l = 0; l < tree.features.size(); ++l) {
       level_feature_.push_back(tree.features[l]);
-      level_threshold_.push_back(
-          intern_threshold(tree.features[l], tree.thresholds[l]));
+      level_threshold_.push_back(tree.thresholds[l]);
     }
     leaf_value_.insert(leaf_value_.end(), tree.leaf_values.begin(),
                        tree.leaf_values.end());

@@ -5,9 +5,6 @@
 // This compiles any of them into flat structures evaluated in row blocks
 // with no data-dependent branches, one evaluation per tree kind:
 //
-//  * Every split threshold is interned through a per-feature sorted
-//    cut-point table at compile time, so compiled tests compare the raw
-//    feature value against the same double the trainer produced.
 //  * Binary trees (Random Forest CARTs, XGBoost/LightGBM) use a compact
 //    16-byte node layout (children adjacent, leaves self-looping) chased
 //    for a fixed per-tree depth with four interleaved rows, so the walk
@@ -17,7 +14,7 @@
 //    `idx = (idx << 1) | (x[f] > t)` per level, four rows interleaved.
 //
 // Bit-identity contract: every compiled test performs the same double
-// comparison as the legacy walk (thresholds are interned verbatim), the
+// comparison as the legacy walk (thresholds are copied verbatim), the
 // selected leaf is therefore the legacy leaf, and per-row tree
 // contributions accumulate in legacy tree order, so probabilities are
 // identical doubles — asserted against the node-walk oracles in
@@ -67,8 +64,6 @@ class FlatTreeEnsemble {
   /// 1 + the highest feature id any test consults; predict requires at
   /// least this many columns.
   std::size_t n_features() const { return n_features_; }
-  /// Distinct interned split thresholds across all cut-point tables.
-  std::size_t cut_count() const { return cuts_.size(); }
 
   /// P(phishing) per row, parallelized over row chunks on the
   /// common::ThreadPool (each output slot written by exactly one task).
@@ -88,7 +83,7 @@ class FlatTreeEnsemble {
   /// advances) and the walk runs a *fixed* per-tree depth with no leaf
   /// test; the landing node's payload lives in walk_node_value_.
   struct WalkNode {
-    double threshold = 0.0;    ///< interned cut; +inf on leaves
+    double threshold = 0.0;    ///< the node's own cut; +inf on leaves
     std::int32_t feature = 0;  ///< consulted even by leaves (always left)
     std::int32_t left = 0;
   };
@@ -104,12 +99,6 @@ class FlatTreeEnsemble {
 
   void compile_binary(const std::vector<std::span<const TreeNode>>& trees);
   void compile_oblivious(const std::vector<ObliviousTree>& trees);
-  /// Builds cuts_/cut_offset_/cut_len_ from every (feature, threshold)
-  /// pair; rank_of returns a test threshold's index in its feature's cut
-  /// table and intern_threshold the (bit-identical) interned double.
-  void build_cut_tables(std::vector<std::pair<std::int32_t, double>> tests);
-  std::uint32_t rank_of(std::int32_t feature, double threshold) const;
-  double intern_threshold(std::int32_t feature, double threshold) const;
 
   void predict_block(const Matrix& x, std::size_t begin, std::size_t end,
                      std::span<double> out) const;
@@ -120,13 +109,6 @@ class FlatTreeEnsemble {
   std::size_t tree_count_ = 0;
   std::size_t node_count_ = 0;
   std::size_t n_features_ = 0;
-
-  // Quantized cut-point tables: cuts_ holds each feature's sorted unique
-  // thresholds back to back; cut_offset_/cut_len_ index it per feature.
-  // Compiled tests store doubles interned through these tables.
-  std::vector<double> cuts_;
-  std::vector<std::uint32_t> cut_offset_;
-  std::vector<std::uint32_t> cut_len_;
 
   // Binary section (RF / GBDT / LightGBM).
   std::vector<TreeRef> trees_;

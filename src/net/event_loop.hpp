@@ -1,13 +1,13 @@
 // Non-blocking epoll event loop — the repo's one socket substrate.
 //
-// The blocking accept/recv scrape server (PR 8) hit the classic wall the
+// An earlier blocking accept/recv scrape server hit the classic wall the
 // moment anything stalled: a peer that connects and never finishes its
-// request pins the accept thread, and stop() can only wait. The JSON-RPC
-// scoring front-end needs hundreds of concurrent sockets with per-request
-// deadlines, so both now sit on this loop: epoll in level-triggered mode,
-// every fd non-blocking, one loop thread per server, and a tick callback
-// for deadline sweeps — no call anywhere in the loop can block, which is
-// what makes shutdown bounded by construction.
+// request pins the accept thread, and stop() can only wait. The HTTP
+// server (JSON-RPC scoring plus the scrapes) needs hundreds of concurrent
+// sockets with per-request deadlines, so it sits on this loop: epoll in
+// level-triggered mode, every fd non-blocking, one loop thread per server,
+// and a tick callback for deadline sweeps — no call anywhere in the loop
+// can block, which is what makes shutdown bounded by construction.
 //
 // Threading model: run() executes on exactly one thread (the owner spawns
 // it); add_fd/set_events/remove_fd are loop-thread-only. The two

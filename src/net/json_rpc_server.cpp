@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <optional>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,11 @@ namespace phishinghook::net {
 namespace {
 
 constexpr std::size_t kMaxHeadBytes = 16384;
+
+constexpr std::string_view kJson = "application/json";
+constexpr std::string_view kText = "text/plain";
+constexpr std::string_view kPrometheus =
+    "text/plain; version=0.0.4; charset=utf-8";
 
 /// Case-insensitive header lookup inside [head_begin, head_end); returns
 /// the trimmed value or empty.
@@ -85,14 +91,6 @@ JsonValue make_result_response(const JsonValue& id, JsonValue result) {
   return response;
 }
 
-/// Body of a transport-level refusal (400/405/411/413/431): the frame can
-/// never succeed as sent, so it is an Invalid Request, not a retryable shed.
-std::string refusal_body(const std::string& why) {
-  return make_error_response(JsonValue::null(), rpc_errors::kInvalidRequest,
-                             why)
-      .dump();
-}
-
 }  // namespace
 
 /// One HTTP frame from dispatch until its response is queued, shared by
@@ -138,7 +136,7 @@ JsonRpcServer::JsonRpcServer(RpcConfig config)
       }),
       config_(config) {
   registry_.set_help("net_requests_total",
-                     "HTTP frames received by the JSON-RPC server");
+                     "HTTP requests received (JSON-RPC frames and scrapes)");
   registry_.set_help("net_requests_malformed",
                      "HTTP or JSON-RPC protocol violations answered with "
                      "an error");
@@ -152,6 +150,21 @@ JsonRpcServer::~JsonRpcServer() { stop(); }
 
 void JsonRpcServer::register_method(std::string method, Handler handler) {
   methods_[std::move(method)] = std::move(handler);
+}
+
+void JsonRpcServer::add_registry(const obs::MetricsRegistry& registry) {
+  std::lock_guard<std::mutex> lock(scrape_mutex_);
+  scraped_.push_back(&registry);
+}
+
+void JsonRpcServer::add_pre_scrape_hook(Hook hook) {
+  std::lock_guard<std::mutex> lock(scrape_mutex_);
+  hooks_.push_back(std::move(hook));
+}
+
+void JsonRpcServer::set_health(HealthFn health) {
+  std::lock_guard<std::mutex> lock(scrape_mutex_);
+  health_ = std::move(health);
 }
 
 void JsonRpcServer::start(std::uint16_t port) {
@@ -176,12 +189,6 @@ std::size_t JsonRpcServer::frames_in_flight() const {
   return frames_in_flight_;
 }
 
-void JsonRpcServer::export_metrics() {
-  active_connections_.set(static_cast<double>(connections()));
-  accepted_gauge_.set(static_cast<double>(connections_accepted()));
-  rejected_gauge_.set(static_cast<double>(connections_rejected()));
-}
-
 void JsonRpcServer::on_open(Connection& conn) {
   conn.user = std::make_shared<HttpState>();
 }
@@ -189,136 +196,178 @@ void JsonRpcServer::on_open(Connection& conn) {
 void JsonRpcServer::on_data(Connection& conn) { process_input(conn); }
 
 void JsonRpcServer::on_overflow(Connection& conn) {
-  malformed_.inc();
   conn.in.clear();
-  respond_http(conn, 413, "Payload Too Large",
-               refusal_body("request body exceeds server limit"), false);
+  refuse(conn, 413, "Payload Too Large", "request body exceeds server limit");
 }
 
 void JsonRpcServer::process_input(Connection& conn) {
   auto* state = static_cast<HttpState*>(conn.user.get());
-  if (state == nullptr || state->busy) return;  // response in flight
-  if (conn.in.empty()) return;
+  // A scrape is answered in place, so one read may carry several
+  // pipelined requests: loop rather than recurse once per request.
+  while (state != nullptr && !state->busy && next_request(conn, *state)) {
+  }
+}
+
+bool JsonRpcServer::next_request(Connection& conn, HttpState& state) {
+  if (conn.in.empty()) return false;
   obs::Tracer& tracer = obs::Tracer::global();
-  if (state->first_byte_us == 0) state->first_byte_us = tracer.now_us();
+  if (state.first_byte_us == 0) state.first_byte_us = tracer.now_us();
 
   const std::size_t head_end = conn.in.find("\r\n\r\n");
   if (head_end == std::string::npos) {
     if (conn.in.size() > kMaxHeadBytes) {
-      malformed_.inc();
-      respond_http(conn, 431, "Request Header Fields Too Large",
-                   refusal_body("request head too large"), false);
+      refuse(conn, 431, "Request Header Fields Too Large",
+             "request head too large");
     }
-    return;  // head still arriving
+    return false;  // head still arriving
   }
 
   // Request line: METHOD SP target SP version.
-  const std::size_t method_end = conn.in.find(' ');
-  if (method_end == std::string::npos || method_end > head_end) {
-    malformed_.inc();
-    respond_http(conn, 400, "Bad Request",
-                 refusal_body("malformed request line"), false);
-    return;
-  }
-  const std::string method = conn.in.substr(0, method_end);
   const std::size_t line_end = conn.in.find("\r\n");
-  const bool http10 =
-      line_end != std::string::npos && line_end >= 8 &&
-      conn.in.compare(line_end - 8, 8, "HTTP/1.0") == 0;
+  const std::size_t method_end = conn.in.find(' ');
+  const std::size_t target_end =
+      method_end < line_end ? conn.in.find(' ', method_end + 1)
+                            : std::string::npos;
+  if (target_end == std::string::npos || target_end > line_end) {
+    refuse(conn, 400, "Bad Request", "malformed request line");
+    return false;
+  }
+  const std::string_view method =
+      std::string_view(conn.in).substr(0, method_end);
+  const bool post = method == "POST";
+  if (!post && method != "GET" && method != "HEAD") {
+    refuse(conn, 405, "Method Not Allowed", "method not allowed");
+    return false;
+  }
+  const bool http10 = line_end >= 8 &&
+                      conn.in.compare(line_end - 8, 8, "HTTP/1.0") == 0;
   const std::string connection_header =
       ascii_lower(find_header(conn.in, head_end, "connection"));
-  bool keep_alive = http10 ? connection_header == "keep-alive"
-                           : connection_header != "close";
+  const bool keep_alive = http10 ? connection_header == "keep-alive"
+                                 : connection_header != "close";
 
-  if (method != "POST") {
-    malformed_.inc();
-    respond_http(conn, 405, "Method Not Allowed",
-                 refusal_body("JSON-RPC requires POST"), false);
-    return;
-  }
   const std::string length_header =
       find_header(conn.in, head_end, "content-length");
-  if (length_header.empty()) {
-    malformed_.inc();
-    respond_http(conn, 411, "Length Required",
-                 refusal_body("Content-Length required"), false);
-    return;
+  if (length_header.empty() && post) {
+    refuse(conn, 411, "Length Required", "Content-Length required");
+    return false;
   }
   std::size_t content_length = 0;
   for (const char c : length_header) {
     if (c < '0' || c > '9') {
-      malformed_.inc();
-      respond_http(conn, 400, "Bad Request",
-                   refusal_body("bad Content-Length"), false);
-      return;
+      refuse(conn, 400, "Bad Request", "bad Content-Length");
+      return false;
     }
     content_length = content_length * 10 + static_cast<std::size_t>(c - '0');
     if (content_length > config_.max_body_bytes) break;
   }
   if (content_length > config_.max_body_bytes) {
-    malformed_.inc();
-    respond_http(conn, 413, "Payload Too Large",
-                 refusal_body("request body exceeds server limit"), false);
-    return;
+    refuse(conn, 413, "Payload Too Large", "request body exceeds server limit");
+    return false;
   }
   const std::size_t frame_size = head_end + 4 + content_length;
-  if (conn.in.size() < frame_size) return;  // body still arriving
+  if (conn.in.size() < frame_size) return false;  // body still arriving
+
+  if (!post) {
+    // A scrape is not a JSON-RPC frame: no causal identity, no stage
+    // timings, nothing in flight.
+    requests_total_.inc();
+    state.first_byte_us = 0;
+    const std::string target =
+        conn.in.substr(method_end + 1, target_end - method_end - 1);
+    const bool head_only = method == "HEAD";
+    conn.in.erase(0, frame_size);
+    respond_scrape(conn, target, head_only, keep_alive);
+    return true;
+  }
 
   {
     std::lock_guard<std::mutex> lock(frames_mutex_);
-    if (stopping_) return;  // stop() closes the connection, frame unread
+    if (stopping_) return false;  // stop() closes the connection, frame unread
     ++frames_in_flight_;
   }
   auto frame = std::make_shared<Frame>(*this, conn.id, keep_alive);
-  state->busy = true;
+  state.busy = true;
 
   // The frame is complete: give the request its causal identity and
   // attribute the receive span (first byte -> frame complete) as the
   // "parse" stage on its lane.
   frame->ctx = obs::mint_request(tracer);
   const double now = tracer.now_us();
-  parse_us_.record(now - state->first_byte_us);
-  obs::stage_slice(frame->ctx, "net.parse", state->first_byte_us, now,
+  parse_us_.record(now - state.first_byte_us);
+  obs::stage_slice(frame->ctx, "net.parse", state.first_byte_us, now,
                    tracer);
   frame->ctx.handoff_us = now;
-  state->first_byte_us = 0;
+  state.first_byte_us = 0;
   requests_total_.inc();
 
   // Handlers never touch the connection, so the body is parsed in place.
   dispatch(frame, std::string_view(conn.in).substr(head_end + 4,
                                                    content_length));
   conn.in.erase(0, frame_size);
+  return true;
+}
+
+void JsonRpcServer::respond_scrape(Connection& conn, std::string_view target,
+                                   bool head_only, bool keep_alive) {
+  const std::string_view path = target.substr(0, target.find('?'));
+  std::lock_guard<std::mutex> lock(scrape_mutex_);
+  if (path == "/metrics") {
+    for (const Hook& hook : hooks_) hook();
+    active_connections_.set(static_cast<double>(connections()));
+    accepted_gauge_.set(static_cast<double>(connections_accepted()));
+    rejected_gauge_.set(static_cast<double>(connections_rejected()));
+    std::ostringstream body;
+    for (const obs::MetricsRegistry* registry : scraped_) {
+      registry->write_prometheus(body);
+    }
+    respond_http(conn, 200, "OK", kPrometheus, body.str(), keep_alive,
+                 head_only);
+  } else if (path == "/healthz") {
+    respond_http(conn, 200, "OK", kJson,
+                 health_ ? health_() : "{\"status\":\"ok\"}", keep_alive,
+                 head_only);
+  } else {
+    respond_http(conn, 404, "Not Found", kText,
+                 "unknown path (try /metrics, /healthz)\n", keep_alive,
+                 head_only);
+  }
+}
+
+void JsonRpcServer::refuse(Connection& conn, int status, const char* reason,
+                           const std::string& why) {
+  // The request can never succeed as sent, so it is an Invalid Request,
+  // not a retryable shed.
+  malformed_.inc();
+  respond_http(conn, status, reason, kJson,
+               make_error_response(JsonValue::null(),
+                                   rpc_errors::kInvalidRequest, why)
+                   .dump(),
+               false);
 }
 
 void JsonRpcServer::respond_http(Connection& conn, int status,
-                                 const char* reason, const std::string& body,
-                                 bool keep_alive) {
+                                 const char* reason,
+                                 std::string_view content_type,
+                                 const std::string& body, bool keep_alive,
+                                 bool head_only) {
   std::string response = "HTTP/1.1 " + std::to_string(status) + ' ' + reason +
                          "\r\n";
-  if (status == 204) {
-    response += "Connection: ";
-    response += keep_alive ? "keep-alive" : "close";
-    response += "\r\n\r\n";
-  } else {
-    response += "Content-Type: application/json\r\nContent-Length: " +
-                std::to_string(body.size()) + "\r\nConnection: ";
-    response += keep_alive ? "keep-alive" : "close";
-    response += "\r\n\r\n";
-    response += body;
+  if (status == 405) response += "Allow: GET, HEAD, POST\r\n";
+  if (status != 204) {
+    response += "Content-Type: ";
+    response += content_type;
+    response += "\r\nContent-Length: " + std::to_string(body.size()) + "\r\n";
   }
+  response += keep_alive ? "Connection: keep-alive\r\n\r\n"
+                         : "Connection: close\r\n\r\n";
+  // HEAD: the headers describe the body a GET would return; no body.
+  if (!head_only) response += body;
   responses_total_.inc();
   send_data(conn, response);
-  if (!keep_alive) {
-    finish(conn);
-    return;
-  }
   auto* state = static_cast<HttpState*>(conn.user.get());
-  if (state != nullptr) {
-    state->busy = false;
-    // A well-behaved client may already have sent its next request while
-    // this response was being produced; pick it up now.
-    if (!conn.in.empty()) process_input(conn);
-  }
+  if (state != nullptr) state->busy = !keep_alive;
+  if (!keep_alive) finish(conn);
 }
 
 void JsonRpcServer::dispatch(const std::shared_ptr<Frame>& frame,
@@ -446,12 +495,16 @@ void JsonRpcServer::respond_frame(Connection& conn, Frame& frame) {
   // All-notification frames get no body at all (spec: the server MUST NOT
   // return an empty array).
   if (responses.as_array().empty()) {
-    respond_http(conn, 204, "No Content", {}, frame.keep_alive);
-    return;
+    respond_http(conn, 204, "No Content", kJson, {}, frame.keep_alive);
+  } else {
+    respond_http(conn, 200, "OK", kJson,
+                 frame.batch ? responses.dump()
+                             : responses.as_array()[0].dump(),
+                 frame.keep_alive);
   }
-  respond_http(conn, 200, "OK",
-               frame.batch ? responses.dump() : responses.as_array()[0].dump(),
-               frame.keep_alive);
+  // A client may already have sent its next request while this response
+  // was being produced; pick it up now.
+  process_input(conn);
 }
 
 }  // namespace phishinghook::net

@@ -1,12 +1,24 @@
-// JSON-RPC 2.0 server over HTTP POST, on the net-layer event loop.
+// The process's one HTTP server, on the net-layer event loop: JSON-RPC 2.0
+// over POST, plus GET/HEAD /metrics and /healthz for the operator.
 //
-// This is the network front door the serving path was missing: scoring
-// goes from "call ScoringEngine::submit in-process" to "POST a JSON-RPC
-// frame at 127.0.0.1:<port>", the same shape as a real Ethereum node's
-// RPC endpoint (and therefore curl-able):
+// Scoring goes from "call the engine in-process" to "POST a JSON-RPC frame
+// at 127.0.0.1:<port>", the same shape as a real Ethereum node's RPC
+// endpoint (and therefore curl-able), and the same port answers scrapes:
 //
 //   curl -s -X POST http://127.0.0.1:9545/ -d '{"jsonrpc":"2.0","id":1,
 //       "method":"phook_score","params":["0x1234...40 hex..."]}'
+//   curl -s http://127.0.0.1:9545/metrics
+//
+// Every request takes one framing path: parse the head, take
+// Content-Length (required for POST, 0 when a GET/HEAD omits it), apply
+// the keep-alive rules, then route on the method:
+//
+//   POST       JSON-RPC, whatever the target
+//   GET/HEAD   /metrics -> Prometheus text over the attached registries,
+//              after the pre-scrape hooks; /healthz -> the health
+//              function's JSON; any other path -> 404. A query string is
+//              ignored; HEAD gets the GET headers and no body.
+//   otherwise  405 with "Allow: GET, HEAD, POST"
 //
 // Everything protocol-side runs on the loop thread: parse the HTTP frame
 // and its JSON-RPC document, mint the request's causal identity
@@ -15,15 +27,17 @@
 // any thread — with a thunk that builds the result. The last reply of a
 // frame posts one task onto the loop, which runs the thunks in request
 // order, encodes the body and writes it; no worker ever encodes JSON.
+// A scrape is answered in place on the loop thread and never becomes a
+// frame.
 //
 // This layer sheds nothing itself: a connection has one frame in flight,
 // max_connections caps the connections, and the engine's max_queue and
 // deadline shed scoring work as results whose status says "shed".
-// Malformed frames and per-stage latency land in the net_* registry.
+// Malformed requests and per-stage latency land in the net_* registry.
 //
-// Transport rules: POST only (405), Content-Length required (411), bodies
-// over max_body_bytes (413) and heads over 16 KiB (431) refused; each
-// refusal carries -32600 (Invalid Request), never the retryable -32005.
+// Transport refusals: unknown method (405), POST without Content-Length
+// (411), bodies over max_body_bytes (413) and heads over 16 KiB (431);
+// each carries -32600 (Invalid Request), never the retryable -32005.
 // HTTP/1.1 keep-alive is honored. JSON-RPC batches work, including mixed
 // valid/invalid entries and notification elision, capped at max_batch.
 #pragma once
@@ -37,6 +51,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "net/json.hpp"
 #include "net/socket_server.hpp"
@@ -82,6 +97,11 @@ class JsonRpcServer : public SocketServer {
   struct Frame;
 
  public:
+  /// Runs before every /metrics body is built, on the loop thread.
+  using Hook = std::function<void()>;
+  /// Builds the /healthz body (must already be JSON).
+  using HealthFn = std::function<std::string()>;
+
   /// Everything a handler may want beyond its params: the request's
   /// causal identity (pass it into ScoringEngine admission to keep the
   /// socket request one connected trace lane).
@@ -118,6 +138,15 @@ class JsonRpcServer : public SocketServer {
   /// Registers `method`; call before start(). Re-registering replaces.
   void register_method(std::string method, Handler handler);
 
+  /// Attaches a registry; /metrics concatenates the expositions in
+  /// attachment order. Safe at any time, as are the two calls below.
+  void add_registry(const obs::MetricsRegistry& registry);
+
+  void add_pre_scrape_hook(Hook hook);
+
+  /// Supplies the /healthz body. Unset = {"status":"ok"}.
+  void set_health(HealthFn health);
+
   /// Binds + starts the loop thread.
   void start(std::uint16_t port);
 
@@ -125,16 +154,14 @@ class JsonRpcServer : public SocketServer {
   /// the loop. Idempotent.
   void stop();
 
-  /// The server's net_* metrics (counters, gauges, stage histograms).
-  /// Attach to a ScrapeServer alongside the engine registry. The non-const
-  /// overload lets benches re-register a histogram handle to read it.
+  /// The server's net_* metrics (counters, gauges, stage histograms); its
+  /// connection gauges are synced on every /metrics scrape. Not served
+  /// until attached with add_registry. The non-const overload lets benches
+  /// re-register a histogram handle to read it.
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
   obs::MetricsRegistry& metrics_registry() { return registry_; }
 
-  /// Syncs pull-model gauges (connection counts) into the registry — wire
-  /// as a scrape-server pre-scrape hook.
-  void export_metrics();
-
+  /// Complete requests received: JSON-RPC frames and scrapes, not refusals.
   std::uint64_t requests_received() const {
     return requests_total_.value();
   }
@@ -151,15 +178,26 @@ class JsonRpcServer : public SocketServer {
  private:
   /// Per-connection HTTP state, hung off Connection::user.
   struct HttpState {
-    bool busy = false;        ///< frame in flight; don't read ahead
+    bool busy = false;        ///< frame in flight or closing; don't read ahead
     double first_byte_us = 0; ///< tracer clock at this request's first byte
   };
 
+  /// Serves the buffered requests until one is incomplete or in flight.
   void process_input(Connection& conn);
+  /// Takes one request off conn.in and answers or dispatches it; false
+  /// when there is none to take (incomplete, or refused and closing).
+  bool next_request(Connection& conn, HttpState& state);
+  /// Answers GET/HEAD `target` in place. Loop thread.
+  void respond_scrape(Connection& conn, std::string_view target,
+                      bool head_only, bool keep_alive);
+  /// Counts a malformed request and refuses it with `status`, closing.
+  void refuse(Connection& conn, int status, const char* reason,
+              const std::string& why);
   /// Sends an HTTP response and either re-arms (keep-alive) or finishes
   /// the connection. Loop thread.
   void respond_http(Connection& conn, int status, const char* reason,
-                    const std::string& body, bool keep_alive);
+                    std::string_view content_type, const std::string& body,
+                    bool keep_alive, bool head_only = false);
   /// Decodes a complete frame's JSON-RPC document, calls its handlers.
   void dispatch(const std::shared_ptr<Frame>& frame, std::string_view body);
   /// Validates one request object and calls its handler.
@@ -177,6 +215,11 @@ class JsonRpcServer : public SocketServer {
   std::condition_variable frames_cv_;
   std::size_t frames_in_flight_ = 0;  ///< guarded by frames_mutex_
   bool stopping_ = false;             ///< guarded by frames_mutex_
+
+  std::mutex scrape_mutex_;  ///< guards the three below
+  std::vector<const obs::MetricsRegistry*> scraped_;
+  std::vector<Hook> hooks_;
+  HealthFn health_;
 
   obs::MetricsRegistry registry_;
   obs::Counter requests_total_ = registry_.counter("net_requests_total");

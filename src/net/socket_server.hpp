@@ -1,5 +1,5 @@
-// Loopback TCP server base: the connection lifecycle shared by the scrape
-// endpoint and the JSON-RPC scoring front-end.
+// Loopback TCP server base: the connection lifecycle under the HTTP
+// server (net::JsonRpcServer).
 //
 // Owns one EventLoop plus the thread that runs it, the listen socket
 // (loopback only, port 0 = ephemeral) and a table of buffered connections.

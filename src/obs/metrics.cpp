@@ -309,48 +309,6 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
   }
 }
 
-void MetricsRegistry::write_json(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::vector<const Entry*> sorted = sorted_entries();
-  const auto open_common = [&](const Entry* entry) {
-    out << "{\"name\":\"" << json_escape(entry->name) << "\",\"labels\":\""
-        << json_escape(entry->labels) << "\",";
-  };
-  out << '{';
-  for (int kind = 0; kind < 3; ++kind) {
-    if (kind > 0) out << ',';
-    out << '"' << (kind == 0 ? "counters" : kind == 1 ? "gauges" : "histograms")
-        << "\":[";
-    bool first = true;
-    for (const Entry* entry : sorted) {
-      if (static_cast<int>(entry->kind) != kind) continue;
-      if (!first) out << ',';
-      first = false;
-      open_common(entry);
-      switch (entry->kind) {
-        case Kind::kCounter:
-          out << "\"value\":"
-              << counters_[entry->index].load(std::memory_order_relaxed);
-          break;
-        case Kind::kGauge:
-          out << "\"value\":"
-              << gauges_[entry->index].load(std::memory_order_relaxed);
-          break;
-        case Kind::kHistogram: {
-          const LatencyHistogram& h = histograms_[entry->index];
-          out << "\"count\":" << h.count() << ",\"sum\":" << h.sum()
-              << ",\"p50\":" << h.quantile(0.5) << ",\"p95\":" << h.quantile(0.95)
-              << ",\"p99\":" << h.quantile(0.99) << ",\"max\":" << h.max_value();
-          break;
-        }
-      }
-      out << '}';
-    }
-    out << ']';
-  }
-  out << '}';
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   // Leaked on purpose: instruments with static storage duration may still
   // publish during process teardown.

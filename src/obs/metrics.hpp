@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named counters, gauges and log-scale
 // histograms, with optional labels (`train_fit_ms{model="Random Forest"}`),
-// a Prometheus-style text exposition and a JSON dump.
+// and a Prometheus-style text exposition.
 //
 // Split of responsibilities:
 //   * registration (`registry.counter("name")`) takes a mutex and may
@@ -72,7 +72,7 @@ class Gauge {
 std::string label(std::string_view key, std::string_view value);
 
 /// Escapes a string for embedding inside a JSON string literal (shared by
-/// the exposition writers and the structured log sink).
+/// the trace writer and the structured log sink).
 std::string json_escape(std::string_view text);
 
 class MetricsRegistry {
@@ -106,10 +106,6 @@ class MetricsRegistry {
   /// Values are read relaxed, so a concurrent scrape sees a near-consistent
   /// snapshot.
   void write_prometheus(std::ostream& out) const;
-
-  /// JSON object with "counters"/"gauges"/"histograms" arrays, same
-  /// ordering as the text exposition.
-  void write_json(std::ostream& out) const;
 
   /// Process-wide registry (never destroyed, so handles taken by
   /// static-lifetime instruments stay valid during shutdown).

@@ -3,7 +3,7 @@
 //
 // Backed by an obs::MetricsRegistry the engine owns privately, so every
 // engine's counts stay isolated (tests assert exact values) while still
-// getting the registry's full Prometheus/JSON exposition via
+// getting the registry's full Prometheus exposition via
 // ScoringEngine::dump_prometheus(). The handles below are relaxed-atomic
 // pointer wrappers — hot-path writes never take a lock.
 #pragma once
@@ -39,14 +39,15 @@ struct ServiceMetrics {
       registry.counter("serve_batched_requests_total");  ///< sum of batch sizes
   obs::Counter model_invocations = registry.counter("serve_model_invocations");
   obs::Counter model_rows =
-      registry.counter("serve_model_rows");  ///< rows through predict_proba
+      registry.counter("serve_model_rows");  ///< rows through score_batch
   obs::Gauge flat_tree_count =
       registry.gauge("serve_flat_tree_count");  ///< compiled ensemble trees
   obs::Gauge flat_node_count =
       registry.gauge("serve_flat_node_count");  ///< compiled ensemble nodes
 
+  /// Submission -> completion callback.
   LatencyHistogram& request_latency =
-      registry.histogram("serve_request_latency_us");  ///< submit -> future done
+      registry.histogram("serve_request_latency_us");
   LatencyHistogram& batch_latency =
       registry.histogram("serve_batch_latency_us");  ///< one drain+score cycle
 
@@ -62,7 +63,7 @@ struct ServiceMetrics {
 
   ServiceMetrics() {
     registry.set_help("serve_requests_submitted",
-                      "Scoring requests accepted by submit()/try_submit()");
+                      "Scoring requests submitted through try_submit_many()");
     registry.set_help("serve_requests_shed",
                       "Requests dropped by admission control or deadline");
     registry.set_help("serve_requests_degraded",
@@ -71,7 +72,7 @@ struct ServiceMetrics {
     registry.set_help("serve_queue_depth",
                       "Requests admitted but not yet pulled into a batch");
     registry.set_help("serve_request_latency_us",
-                      "End-to-end latency, submit to future completion");
+                      "End-to-end latency, submission to completion callback");
     registry.set_help(
         "serve_stage_wait_us",
         "Queue-wait per pipeline stage (parked, no work happening)");

@@ -79,6 +79,10 @@ RpcFrontend::RpcFrontend(ScoringEngine& engine, net::RpcConfig config)
       "phook_health", [this](const JsonValue&, const CallInfo&, Reply reply) {
         reply([this] { return health(); });
       });
+  server_.add_registry(engine_.prometheus_registry());
+  server_.add_registry(server_.metrics_registry());
+  server_.add_pre_scrape_hook([this] { engine_.export_pull_metrics(); });
+  server_.set_health([this] { return health().dump(); });
 }
 
 void RpcFrontend::start(std::uint16_t port) { server_.start(port); }

@@ -16,6 +16,10 @@
 //                    when the engine serves a CascadeScorer, a "cascade"
 //                    section adds the band config and per-stage traffic
 //
+// The same port answers GET /metrics (the engine's serve_* registry, then
+// the server's net_* registry, with the engine's pull metrics synced per
+// scrape) and GET /healthz (the phook_health document).
+//
 // The handlers run on the server's loop thread and never wait: the engine
 // worker that finishes a row replies (phook_score) or fills the row's slot
 // of a shared batch state, whose last row replies (phook_scoreBatch). The
@@ -51,8 +55,7 @@ class RpcFrontend {
 
   std::uint16_t port() const { return server_.port(); }
 
-  /// The underlying server, e.g. to attach its net_* registry to a
-  /// ScrapeServer next to the engine's serve_* registry.
+  /// The underlying server, e.g. to attach more registries to /metrics.
   net::JsonRpcServer& server() { return server_; }
   const net::JsonRpcServer& server() const { return server_; }
 

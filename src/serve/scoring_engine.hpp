@@ -232,7 +232,7 @@ class ScoringEngine {
 
   /// Syncs pull-model state (score-cache stats, the scorer's own gauges
   /// such as the cascade escalation rate) into the engine registry. Wire
-  /// as a net::ScrapeServer pre-scrape hook so /metrics always shows
+  /// as a net::JsonRpcServer pre-scrape hook so /metrics always shows
   /// fresh serve_cache_* / serve_cascade_* values.
   void export_pull_metrics() {
     cache_.export_metrics(metrics_.registry);

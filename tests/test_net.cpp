@@ -1,14 +1,16 @@
-// Network-layer tests: JSON document model, the event-loop scrape server
-// (with regressions for the four bugs the blocking PR-8 implementation
+// Network-layer tests: JSON document model, the HTTP server's scrape paths
+// (with regressions for the four bugs an earlier blocking scrape endpoint
 // shipped: HEAD-as-GET, EINTR-aborted writes, unbounded stop() on a
-// stalled peer, split-request mis-parse), and the JSON-RPC 2.0 front door
-// (protocol errors, batches, the Reply completion contract, keep-alive,
+// stalled peer, split-request mis-parse), and its JSON-RPC 2.0 front door
+// (protocol errors, 405 with Allow, requests split at every framing
+// boundary, batches, the Reply completion contract, keep-alive,
 // disconnects, stop with a held reply, and a concurrent-clients hammer the
 // TSan leg runs).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -27,7 +29,6 @@
 #include "net/event_loop.hpp"
 #include "net/json.hpp"
 #include "net/json_rpc_server.hpp"
-#include "net/scrape_server.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -185,7 +186,7 @@ TEST(NetJson, UnicodeEscapesIncludingSurrogatePairs) {
   EXPECT_FALSE(net::JsonValue::parse(R"("\ud83d")", &error).has_value());
 }
 
-// --- scrape server regressions ----------------------------------------------
+// --- scrape regressions ------------------------------------------------------
 
 class ScrapeRegressionTest : public ::testing::Test {
  protected:
@@ -197,10 +198,10 @@ class ScrapeRegressionTest : public ::testing::Test {
   void TearDown() override { server_.stop(); }
 
   obs::MetricsRegistry registry_;
-  net::ScrapeServer server_;
+  net::JsonRpcServer server_;
 };
 
-// Bug 1 (PR 8): HEAD was treated exactly like GET and sent the full body.
+// Bug 1: HEAD was treated exactly like GET and sent the full body.
 TEST_F(ScrapeRegressionTest, HeadGetsHeadersAndContentLengthButNoBody) {
   const std::string get =
       round_trip(server_.port(), http_request("GET", "/metrics"));
@@ -219,7 +220,7 @@ TEST_F(ScrapeRegressionTest, HeadGetsHeadersAndContentLengthButNoBody) {
   EXPECT_NE(head.find(expected), std::string::npos) << head;
 }
 
-// Bug 2 (PR 8): write_all() returned (dropping the rest of the response)
+// Bug 2: write_all() returned (dropping the rest of the response)
 // on the first EINTR. send_some must retry through injected EINTRs.
 TEST_F(ScrapeRegressionTest, EintrDuringSendStillDeliversFullResponse) {
   // Something big enough that the response takes several send() calls.
@@ -239,7 +240,7 @@ TEST_F(ScrapeRegressionTest, EintrDuringSendStillDeliversFullResponse) {
   EXPECT_NE(interrupted.find("idx=\"199\""), std::string::npos);
 }
 
-// Bug 3 (PR 8): a peer that connected and then went silent pinned the
+// Bug 3: a peer that connected and then went silent pinned the
 // accept thread in an untimed recv(), so stop() could hang forever.
 TEST_F(ScrapeRegressionTest, StopIsBoundedWithStalledConnection) {
   const int stalled = connect_loopback(server_.port());
@@ -254,7 +255,7 @@ TEST_F(ScrapeRegressionTest, StopIsBoundedWithStalledConnection) {
   ::close(stalled);
 }
 
-// Bug 4 (PR 8): the request was parsed out of a single recv(), so a head
+// Bug 4: the request was parsed out of a single recv(), so a head
 // split across TCP segments came back 400.
 TEST_F(ScrapeRegressionTest, RequestSplitAcrossSegmentsParses) {
   const int fd = connect_loopback(server_.port());
@@ -437,7 +438,7 @@ TEST_F(JsonRpcTest, TransportRulesEnforced) {
     EXPECT_EQ(body_of(response).find("-32005"), std::string::npos)
         << response;
   };
-  expect_refused(round_trip(server_->port(), http_request("GET", "/")),
+  expect_refused(round_trip(server_->port(), http_request("PUT", "/")),
                  "405");
   expect_refused(
       round_trip(server_->port(), "POST / HTTP/1.1\r\nHost: x\r\n\r\n"),
@@ -459,6 +460,79 @@ TEST_F(JsonRpcTest, TransportRulesEnforced) {
                             "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: "
                             "100000\r\nConnection: close\r\n\r\n"),
                  "413");
+}
+
+// RFC 9110 §15.5.6: a 405 must say which methods the resource takes.
+TEST_F(JsonRpcTest, UnknownMethodGets405WithAllow) {
+  start();
+  for (const char* method : {"PUT", "DELETE"}) {
+    const std::string response = round_trip(
+        server_->port(),
+        http_request(method, method[0] == 'P' ? "/" : "/metrics"));
+    EXPECT_NE(response.find("405 Method Not Allowed"), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("\r\nAllow: GET, HEAD, POST\r\n"),
+              std::string::npos)
+        << response;
+  }
+  EXPECT_EQ(
+      server_->metrics_registry().counter("net_requests_malformed").value(),
+      2u);
+  EXPECT_EQ(server_->requests_received(), 0u);
+}
+
+// Scrapes and JSON-RPC frames share one framing path. Each request is sent
+// in two writes, split inside the method, the target, a header name, one
+// byte before the blank line's final '\n', between head and body, and
+// inside the body, over one keep-alive connection; every response must be
+// the bytes a one-shot send gets. The GET carries a short body so that
+// every offset exists for it too and the framing must skip those bytes.
+TEST_F(JsonRpcTest, RequestsSplitAtEveryBoundaryAnswerAsOneShot) {
+  start();
+  server_->set_health([] { return std::string("{\"status\":\"fixed\"}"); });
+  const std::string rpc_body =
+      R"({"jsonrpc":"2.0","id":7,"method":"echo","params":[1,"two"]})";
+  const std::vector<std::string> requests = {
+      "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
+      "POST /rpc HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+          std::to_string(rpc_body.size()) + "\r\n\r\n" + rpc_body,
+  };
+  const auto offsets = [](const std::string& request) {
+    const std::size_t blank = request.find("\r\n\r\n");
+    return std::vector<std::size_t>{2, request.find(' ') + 3,
+                                    request.find("Host") + 2, blank + 3,
+                                    blank + 4, blank + 6};
+  };
+
+  const int fd = connect_loopback(server_->port());
+  ASSERT_GE(fd, 0);
+  // Send each write at once instead of holding it for the peer's ACK.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  std::vector<std::string> one_shot;
+  for (const std::string& request : requests) {
+    send_all(fd, request);
+    one_shot.push_back(recv_one_response(fd));
+  }
+  EXPECT_NE(one_shot[0].find("{\"status\":\"fixed\"}"), std::string::npos)
+      << one_shot[0];
+  EXPECT_NE(one_shot[1].find("\"result\":[1,\"two\"]"), std::string::npos)
+      << one_shot[1];
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    for (const std::size_t at : offsets(requests[r])) {
+      ASSERT_LT(at, requests[r].size());
+      send_all(fd, requests[r].substr(0, at));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      send_all(fd, requests[r].substr(at));
+      EXPECT_EQ(recv_one_response(fd), one_shot[r])
+          << "request " << r << " split at " << at;
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(server_->requests_received(), 14u);
+  EXPECT_EQ(
+      server_->metrics_registry().counter("net_requests_malformed").value(),
+      0u);
 }
 
 TEST_F(JsonRpcTest, KeepAliveServesSequentialRequests) {

@@ -1,9 +1,9 @@
 // Telemetry layer tests: metrics registry exactness under concurrency,
-// pinned histogram quantiles (the bucket-edge fix), Prometheus/JSON
+// pinned histogram quantiles (the bucket-edge fix), Prometheus
 // exposition shape and conformance (HELP lines, name/label validation),
 // tracer ring semantics plus the async/flow causal events, request-context
 // lifecycle, the sliding-window aggregator + SLO evaluator (driven by an
-// injected clock), the TCP scrape server (including concurrent
+// injected clock), the /metrics and /healthz scrapes (including concurrent
 // scrape-vs-write, exercised by the TSan leg), and the serve-stack trace
 // integration (spans from >= 3 subsystems in one engine run).
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@
 #include "common/logging.hpp"
 #include "core/model_registry.hpp"
 #include "ml/random_forest.hpp"
-#include "net/scrape_server.hpp"
+#include "net/json_rpc_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
 #include "obs/trace.hpp"
@@ -166,22 +166,6 @@ TEST(ObsRegistry, PrometheusExpositionShape) {
   // Sorted by name: a before b before c.
   EXPECT_LT(text.find("a_depth"), text.find("b_total"));
   EXPECT_LT(text.find("b_total"), text.find("c_ms"));
-}
-
-TEST(ObsRegistry, JsonDumpParsesAndRoundTripsValues) {
-  obs::MetricsRegistry registry;
-  registry.counter("hits_total").inc(12);
-  registry.gauge("depth").set(3.0);
-  registry.histogram("lat_us").record(50.0);
-  std::ostringstream out;
-  registry.write_json(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"counters\":[{\"name\":\"hits_total\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"value\":12"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\":[{\"name\":\"lat_us\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"p50\":50"), std::string::npos);
 }
 
 TEST(ObsRegistry, LabelEscapesQuotesAndBackslashes) {
@@ -528,7 +512,7 @@ TEST(ObsSlo, InvalidTargetsThrow) {
 
 // --- scrape server -----------------------------------------------------------
 
-/// One-shot HTTP/1.0 GET against the loopback scrape server; returns the
+/// One-shot HTTP/1.0 GET against a loopback server; returns the
 /// raw response (headers + body), or "" on connect failure.
 std::string http_get(std::uint16_t port, const std::string& target) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -557,7 +541,7 @@ std::string http_get(std::uint16_t port, const std::string& target) {
 TEST(ObsScrape, ServesMetricsVarsHealthzAnd404) {
   obs::MetricsRegistry registry;
   registry.counter("scrape_test_total").inc(3);
-  net::ScrapeServer server;
+  net::JsonRpcServer server;
   server.add_registry(registry);
   server.start(0);  // ephemeral
   ASSERT_TRUE(server.running());
@@ -570,10 +554,10 @@ TEST(ObsScrape, ServesMetricsVarsHealthzAnd404) {
             std::string::npos);
   EXPECT_NE(metrics.find("scrape_test_total 3"), std::string::npos);
 
-  const std::string vars = http_get(server.port(), "/vars");
-  EXPECT_NE(vars.find("200 OK"), std::string::npos);
-  EXPECT_NE(vars.find("\"registries\":["), std::string::npos);
-  EXPECT_NE(vars.find("scrape_test_total"), std::string::npos);
+  // Routing is by exact path: /metrics is the one exposition, and any
+  // other path under it is a 404.
+  EXPECT_NE(http_get(server.port(), "/metrics/json").find("404 Not Found"),
+            std::string::npos);
 
   const std::string health = http_get(server.port(), "/healthz");
   EXPECT_NE(health.find("200 OK"), std::string::npos);
@@ -582,7 +566,7 @@ TEST(ObsScrape, ServesMetricsVarsHealthzAnd404) {
   const std::string missing = http_get(server.port(), "/nope");
   EXPECT_NE(missing.find("404"), std::string::npos);
 
-  EXPECT_EQ(server.requests_served(), 4u);
+  EXPECT_EQ(server.requests_received(), 4u);
   server.stop();
   EXPECT_FALSE(server.running());
   server.stop();  // idempotent
@@ -591,7 +575,7 @@ TEST(ObsScrape, ServesMetricsVarsHealthzAnd404) {
 TEST(ObsScrape, HooksRunPerScrapeAndHealthOverrides) {
   obs::MetricsRegistry registry;
   std::atomic<int> hook_runs{0};
-  net::ScrapeServer server;
+  net::JsonRpcServer server;
   server.add_registry(registry);
   server.add_pre_scrape_hook([&registry, &hook_runs] {
     registry.gauge("synced_value").set(static_cast<double>(++hook_runs));
@@ -599,12 +583,13 @@ TEST(ObsScrape, HooksRunPerScrapeAndHealthOverrides) {
   server.set_health([] { return std::string("{\"status\":\"draining\"}"); });
   server.start(0);
 
-  // Hooks fire per metrics/vars scrape, so the exposition always carries
-  // the freshly synced value; query strings are ignored for routing.
+  // Hooks fire per /metrics scrape, so the exposition always carries the
+  // freshly synced value; query strings are ignored for routing.
   EXPECT_NE(http_get(server.port(), "/metrics").find("synced_value 1"),
             std::string::npos);
-  EXPECT_NE(http_get(server.port(), "/vars?verbose=1").find("synced_value"),
-            std::string::npos);
+  EXPECT_NE(
+      http_get(server.port(), "/metrics?verbose=1").find("synced_value 2"),
+      std::string::npos);
   EXPECT_EQ(hook_runs.load(), 2);
 
   // /healthz serves the caller's JSON and skips the scrape hooks.
@@ -615,7 +600,7 @@ TEST(ObsScrape, HooksRunPerScrapeAndHealthOverrides) {
 }
 
 TEST(ObsScrape, StartTwiceThrows) {
-  net::ScrapeServer server;
+  net::JsonRpcServer server;
   server.start(0);
   EXPECT_THROW(server.start(0), StateError);
   server.stop();
@@ -628,7 +613,7 @@ TEST(ObsScrape, ConcurrentScrapesSeeConsistentResponsesUnderWrites) {
   obs::MetricsRegistry registry;
   obs::Counter counter = registry.counter("busy_total");
   obs::LatencyHistogram& histogram = registry.histogram("busy_us");
-  net::ScrapeServer server;
+  net::JsonRpcServer server;
   server.add_registry(registry);
   server.start(0);
 
@@ -662,7 +647,7 @@ TEST(ObsScrape, ConcurrentScrapesSeeConsistentResponsesUnderWrites) {
   server.stop();
 
   EXPECT_EQ(good.load(), kScrapers * kScrapesEach);
-  EXPECT_GE(server.requests_served(),
+  EXPECT_GE(server.requests_received(),
             static_cast<std::uint64_t>(kScrapers * kScrapesEach));
   EXPECT_GT(counter.value(), 0u);
 }

@@ -74,9 +74,9 @@ core::HistogramAdapter fitted_adapter(
   return adapter;
 }
 
-/// One JSON-RPC POST to 127.0.0.1:port with Connection: close; returns
-/// the response body ("" on any transport failure).
-std::string rpc_post(std::uint16_t port, const std::string& body) {
+/// Sends one HTTP request (which must ask for Connection: close) to
+/// 127.0.0.1:port; returns the response body ("" on any transport failure).
+std::string http_body(std::uint16_t port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return {};
   timeval timeout{5, 0};
@@ -87,10 +87,6 @@ std::string rpc_post(std::uint16_t port, const std::string& body) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   std::string response;
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    const std::string request =
-        "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-        std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
-        body;
     if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
         static_cast<ssize_t>(request.size())) {
       char buffer[4096];
@@ -104,6 +100,20 @@ std::string rpc_post(std::uint16_t port, const std::string& body) {
   const std::size_t head_end = response.find("\r\n\r\n");
   return head_end == std::string::npos ? std::string()
                                        : response.substr(head_end + 4);
+}
+
+/// One JSON-RPC POST; returns the response body.
+std::string rpc_post(std::uint16_t port, const std::string& body) {
+  return http_body(port, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                             std::to_string(body.size()) +
+                             "\r\nConnection: close\r\n\r\n" + body);
+}
+
+/// One GET; returns the response body.
+std::string http_get(std::uint16_t port, const std::string& target) {
+  return http_body(port, "GET " + target +
+                             " HTTP/1.1\r\nHost: x\r\n"
+                             "Connection: close\r\n\r\n");
 }
 
 /// Admits `wave` through the engine's callback primitive and waits for
@@ -823,6 +833,50 @@ TEST_F(ScoringEngineTest, RpcScoreBatchOverflowIsShedInOrderAndConserved) {
 // A batch's shared row state, the frame's Reply and the result thunk point
 // at one another; any cycle among them keeps every frame alive. The ASan
 // leg runs this.
+// The front door's port also serves the operator: /metrics carries the
+// engine's serve_* series and the server's net_* series, /healthz is the
+// phook_health document, and a scrape counts once on each side of the
+// net_requests_total == net_responses_total identity.
+TEST_F(ScoringEngineTest, RpcFrontendServesMetricsAndHealthzOnItsPort) {
+  serve::EngineConfig config;
+  config.workers = 2;
+  serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
+  serve::RpcFrontend frontend(engine);
+  frontend.start(0);
+
+  const std::string scored = rpc_post(
+      frontend.port(),
+      R"({"jsonrpc":"2.0","id":1,"method":"phook_score","params":[")" +
+          addresses_[0].to_hex() + R"("]})");
+  EXPECT_NE(scored.find("\"result\""), std::string::npos) << scored;
+  const std::string metrics = http_get(frontend.port(), "/metrics");
+  const std::string health = http_get(frontend.port(), "/healthz");
+  frontend.stop();
+
+  // The engine's pull metrics and the server's connection gauges are
+  // synced per scrape; the scrape itself is the second request.
+  for (const char* line :
+       {"# TYPE serve_requests_completed counter", "serve_cache_hit_rate ",
+        "net_requests_total 2", "net_connections_accepted 2"}) {
+    EXPECT_NE(metrics.find(line), std::string::npos) << line;
+  }
+  EXPECT_LT(metrics.find("serve_requests_completed"),
+            metrics.find("net_requests_total"));
+  const std::optional<net::JsonValue> doc = net::JsonValue::parse(health);
+  ASSERT_TRUE(doc.has_value()) << health;
+  EXPECT_EQ(doc->find("status")->as_string(), "ok");
+  for (const char* key : {"engine", "cache", "net", "model"}) {
+    EXPECT_NE(doc->find(key), nullptr) << key;
+  }
+  EXPECT_EQ(doc->find("net")->find("requests_received")->as_number(), 3.0);
+
+  obs::MetricsRegistry& net_metrics = frontend.server().metrics_registry();
+  EXPECT_EQ(net_metrics.counter("net_requests_total").value(), 3u);
+  EXPECT_EQ(net_metrics.counter("net_responses_total").value(), 3u);
+  // Scrapes are not JSON-RPC frames: only the phook_score frame is timed.
+  EXPECT_EQ(net_metrics.histogram("net_request_total_us").count(), 1u);
+}
+
 TEST_F(ScoringEngineTest, RpcScoreBatchFramesAreFreedOnceAnswered) {
   serve::EngineConfig config;
   config.workers = 2;
