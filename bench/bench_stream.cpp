@@ -384,6 +384,10 @@ NetworkResult run_network_scenario(const std::string& name,
       "handle", "service",
       net_registry.histogram("net_stage_service_us",
                              obs::label("stage", "handle"))));
+  result.stages.push_back(stage_row(
+      "encode", "service",
+      net_registry.histogram("net_stage_service_us",
+                             obs::label("stage", "encode"))));
   result.stages.push_back(stage_row("queue", "wait", sm.stage_queue_wait));
   result.stages.push_back(stage_row("extract", "service", sm.stage_extract));
   result.stages.push_back(stage_row("predict", "service", sm.stage_predict));

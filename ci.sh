@@ -220,7 +220,7 @@ for required in ("steady", "mempool_burst"):
     assert required in scenarios, f"missing scenario {required}"
 # Network path: LoadGenerator-driven traffic over real loopback sockets
 # through the JSON-RPC front door, with latency attributed across the
-# client (connect/rtt), the net layer (parse/handle) and the
+# client (connect/rtt), the net layer (parse/handle/encode) and the
 # engine (queue/extract/predict).
 net = doc["network"]
 for key in ("scenario", "requests", "ok", "shed", "transport_errors",
@@ -234,7 +234,7 @@ assert math.isfinite(net["rps"]) and net["rps"] > 0, "bad network rps"
 net_stages = {s["stage"]: s for s in net["stages"]}
 for stage, kind in (("connect", "service"), ("rtt", "service"),
                     ("parse", "service"), ("handle", "service"),
-                    ("queue", "wait"),
+                    ("encode", "service"), ("queue", "wait"),
                     ("extract", "service"), ("predict", "service")):
     assert stage in net_stages, f"missing network stage row {stage}"
     s = net_stages[stage]
@@ -242,6 +242,7 @@ for stage, kind in (("connect", "service"), ("rtt", "service"),
     for key in ("count", "mean_us", "p50_us", "p95_us", "p99_us", "max_us"):
         assert math.isfinite(s[key]), f"network stage {stage} bad {key}"
 assert net_stages["parse"]["count"] > 0, "no frames parsed on the socket path"
+assert net_stages["encode"]["count"] > 0, "no response bodies encoded"
 assert net_stages["queue"]["count"] > 0, "socket traffic never hit the engine"
 # Batching by arrival keeps the engine queue a small share of the client
 # RTT; a timed batch hold shows up here as a ratio near 0.6.
@@ -560,6 +561,12 @@ run_rpc_smoke() {
     net_responses_total net_connections_active net_batch_calls_total \
     net_stage_service_us net_request_total_us serve_requests_completed \
     serve_cache_hit_rate
+  # The two POSTs above were encoded before the scrape.
+  if ! grep -Eq '^net_stage_service_us_count\{stage="encode"\} [1-9]' \
+      "${dir}/rpc_metrics.prom"; then
+    echo "ci.sh: /metrics has no net_stage_service_us{stage=\"encode\"} samples" >&2
+    exit 1
+  fi
   python3 - "${dir}/rpc_single.json" "${dir}/rpc_batch.json" \
     "${dir}/rpc_healthz.json" "${addr}" <<'PY'
 import json, sys

@@ -17,13 +17,17 @@ std::string_view strip_prefix(std::string_view hex) {
 
 }  // namespace
 
-std::string hex_encode(std::span<const std::uint8_t> bytes) {
-  std::string out;
-  out.reserve(bytes.size() * 2);
+void hex_append(std::string& out, std::span<const std::uint8_t> bytes) {
   for (std::uint8_t b : bytes) {
     out.push_back(kDigits[b >> 4]);
     out.push_back(kDigits[b & 0x0F]);
   }
+}
+
+std::string hex_encode(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  hex_append(out, bytes);
   return out;
 }
 

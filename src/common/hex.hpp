@@ -16,6 +16,9 @@ namespace phishinghook::common {
 /// Encodes `bytes` as lowercase hex without a prefix ("6080...").
 std::string hex_encode(std::span<const std::uint8_t> bytes);
 
+/// Appends hex_encode(bytes) to `out`.
+void hex_append(std::string& out, std::span<const std::uint8_t> bytes);
+
 /// Encodes `bytes` as lowercase hex with a "0x" prefix ("0x6080...").
 std::string hex_encode_prefixed(std::span<const std::uint8_t> bytes);
 

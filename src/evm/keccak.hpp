@@ -44,10 +44,13 @@ class Keccak256 {
   Hash256 finalize();
 
  private:
-  void absorb_block();
+  static constexpr std::size_t kRate = 136;  ///< 1088 bits
+
+  /// XORs one kRate-byte block into the state and permutes.
+  void absorb_block(const std::uint8_t* block);
 
   std::array<std::uint64_t, 25> state_{};
-  std::array<std::uint8_t, 136> buffer_{};  // rate = 1088 bits = 136 bytes
+  std::array<std::uint8_t, kRate> buffer_{};
   std::size_t buffer_len_ = 0;
   bool finalized_ = false;
 };

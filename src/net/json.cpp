@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 namespace phishinghook::net {
@@ -61,27 +60,57 @@ void JsonValue::push_back(JsonValue value) {
   array_.push_back(std::move(value));
 }
 
-std::string json_string_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
+void json_escape_to(std::string& out, std::string_view text) {
+  // Bytes that need no escape are appended in runs.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[(c >> 4) & 0xf];
+        out += kHex[c & 0xf];
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
+}
+
+std::string json_string_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  json_escape_to(out, text);
   return out;
+}
+
+void json_number_to(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";  // JSON has no inf/nan
+    return;
+  }
+  // Integral values (ids, counts) print without a fractional part so they
+  // round-trip; everything else gets enough digits to survive a
+  // parse-dump cycle.
+  char buf[32];
+  const bool integral =
+      value == std::floor(value) && std::fabs(value) < 9.0e15;
+  const std::to_chars_result written =
+      integral ? std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::general, 17);
+  out.append(buf, written.ptr);
 }
 
 void JsonValue::dump_to(std::string& out) const {
@@ -92,27 +121,12 @@ void JsonValue::dump_to(std::string& out) const {
     case Type::kBool:
       out += bool_ ? "true" : "false";
       return;
-    case Type::kNumber: {
-      // Integral values (ids, counts) print without a fractional part so
-      // they round-trip; everything else gets enough digits to survive a
-      // parse-dump cycle.
-      if (std::isfinite(number_) && number_ == std::floor(number_) &&
-          std::fabs(number_) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", number_);
-        out += buf;
-      } else if (std::isfinite(number_)) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", number_);
-        out += buf;
-      } else {
-        out += "null";  // JSON has no inf/nan
-      }
+    case Type::kNumber:
+      json_number_to(out, number_);
       return;
-    }
     case Type::kString:
       out += '"';
-      out += json_string_escape(string_);
+      json_escape_to(out, string_);
       out += '"';
       return;
     case Type::kArray: {
@@ -129,7 +143,7 @@ void JsonValue::dump_to(std::string& out) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out += ',';
         out += '"';
-        out += json_string_escape(object_[i].first);
+        json_escape_to(out, object_[i].first);
         out += "\":";
         object_[i].second.dump_to(out);
       }

@@ -64,7 +64,8 @@ class JsonValue {
   void push_back(JsonValue value);
 
   /// Compact serialization (no whitespace). Integral numbers print without
-  /// a fractional part so parsed ids round-trip byte-identical.
+  /// a fractional part so parsed ids round-trip byte-identical. dump_to
+  /// appends to `out`.
   std::string dump() const;
   void dump_to(std::string& out) const;
 
@@ -88,5 +89,15 @@ class JsonValue {
 /// Escapes `text` for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string json_string_escape(std::string_view text);
+
+/// Appends json_string_escape(text) to `out`.
+void json_escape_to(std::string& out, std::string_view text);
+
+/// Appends `value` as JsonValue::number(value).dump() would: integral
+/// values below 9e15 as "%.0f", other finite values as "%.17g", NaN and
+/// infinities as null. Written with std::to_chars, whose fixed and
+/// general forms the standard defines as those printf conversions in the
+/// C locale.
+void json_number_to(std::string& out, double value);
 
 }  // namespace phishinghook::net

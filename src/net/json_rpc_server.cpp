@@ -83,14 +83,6 @@ JsonValue make_error_response(const JsonValue& id, int code,
   return response;
 }
 
-JsonValue make_result_response(const JsonValue& id, JsonValue result) {
-  JsonValue response;
-  response.set("jsonrpc", JsonValue::string("2.0"));
-  response.set("id", id);
-  response.set("result", std::move(result));
-  return response;
-}
-
 }  // namespace
 
 /// One HTTP frame from dispatch until its response is queued, shared by
@@ -141,7 +133,8 @@ JsonRpcServer::JsonRpcServer(RpcConfig config)
                      "HTTP or JSON-RPC protocol violations answered with "
                      "an error");
   registry_.set_help("net_stage_service_us",
-                     "Service time per network stage (parse, handle)");
+                     "Service time per network stage (parse, handle, "
+                     "encode)");
   registry_.set_help("net_request_total_us",
                      "Frame completion to last reply, JSON-RPC layer");
 }
@@ -349,22 +342,29 @@ void JsonRpcServer::refuse(Connection& conn, int status, const char* reason,
 void JsonRpcServer::respond_http(Connection& conn, int status,
                                  const char* reason,
                                  std::string_view content_type,
-                                 const std::string& body, bool keep_alive,
+                                 std::string_view body, bool keep_alive,
                                  bool head_only) {
-  std::string response = "HTTP/1.1 " + std::to_string(status) + ' ' + reason +
-                         "\r\n";
-  if (status == 405) response += "Allow: GET, HEAD, POST\r\n";
+  // The head goes straight into the write buffer; send_data appends the
+  // body behind it and flushes both at once.
+  std::string& out = conn.out;
+  out += "HTTP/1.1 ";
+  out += std::to_string(status);
+  out += ' ';
+  out += reason;
+  out += "\r\n";
+  if (status == 405) out += "Allow: GET, HEAD, POST\r\n";
   if (status != 204) {
-    response += "Content-Type: ";
-    response += content_type;
-    response += "\r\nContent-Length: " + std::to_string(body.size()) + "\r\n";
+    out += "Content-Type: ";
+    out += content_type;
+    out += "\r\nContent-Length: ";
+    out += std::to_string(body.size());
+    out += "\r\n";
   }
-  response += keep_alive ? "Connection: keep-alive\r\n\r\n"
-                         : "Connection: close\r\n\r\n";
-  // HEAD: the headers describe the body a GET would return; no body.
-  if (!head_only) response += body;
+  out += keep_alive ? "Connection: keep-alive\r\n\r\n"
+                    : "Connection: close\r\n\r\n";
   responses_total_.inc();
-  send_data(conn, response);
+  // HEAD: the headers describe the body a GET would return; no body.
+  send_data(conn, head_only ? std::string_view() : body);
   auto* state = static_cast<HttpState*>(conn.user.get());
   if (state != nullptr) state->busy = !keep_alive;
   if (!keep_alive) finish(conn);
@@ -472,12 +472,22 @@ void JsonRpcServer::release(const std::shared_ptr<Frame>& frame) {
 }
 
 void JsonRpcServer::respond_frame(Connection& conn, Frame& frame) {
-  JsonValue responses = JsonValue::array();
+  obs::Tracer& tracer = obs::Tracer::global();
+  const double encode_start = tracer.now_us();
+  std::string body;
+  if (frame.batch) body += '[';
+  std::size_t answered = 0;
   for (Frame::Call& call : frame.calls) {
     if (call.notification) continue;
+    if (answered++ > 0) body += ',';
+    const std::size_t call_start = body.size();
     if (!call.response) {
       try {
-        call.response = make_result_response(call.id, call.result());
+        body += "{\"jsonrpc\":\"2.0\",\"id\":";
+        call.id.dump_to(body);
+        body += ",\"result\":";
+        call.result(body);
+        body += '}';
       } catch (const RpcError& error) {
         call.response =
             make_error_response(call.id, error.code(), error.what());
@@ -487,20 +497,22 @@ void JsonRpcServer::respond_frame(Connection& conn, Frame& frame) {
             std::string("internal error: ") + error.what());
       }
     }
-    responses.push_back(std::move(*call.response));
+    if (call.response) {
+      body.resize(call_start);  // drop whatever a failed thunk wrote
+      call.response->dump_to(body);
+    }
   }
+  if (frame.batch) body += ']';
+  encode_us_.record(tracer.now_us() - encode_start);
   // The thunks may own handler state that holds a Reply to this frame;
   // dropping them now keeps a frame from ever owning itself.
   frame.calls.clear();
   // All-notification frames get no body at all (spec: the server MUST NOT
   // return an empty array).
-  if (responses.as_array().empty()) {
+  if (answered == 0) {
     respond_http(conn, 204, "No Content", kJson, {}, frame.keep_alive);
   } else {
-    respond_http(conn, 200, "OK", kJson,
-                 frame.batch ? responses.dump()
-                             : responses.as_array()[0].dump(),
-                 frame.keep_alive);
+    respond_http(conn, 200, "OK", kJson, body, frame.keep_alive);
   }
   // A client may already have sent its next request while this response
   // was being produced; pick it up now.

@@ -24,9 +24,11 @@
 // and its JSON-RPC document, mint the request's causal identity
 // (obs::RequestContext), call the method handler. A handler never blocks:
 // it throws RpcError, or calls its Reply exactly once — now or later, from
-// any thread — with a thunk that builds the result. The last reply of a
-// frame posts one task onto the loop, which runs the thunks in request
-// order, encodes the body and writes it; no worker ever encodes JSON.
+// any thread — with a thunk that writes the result's JSON text. The last
+// reply of a frame posts one task onto the loop, which writes the
+// envelopes (and a batch's brackets) into one body string, lets each
+// thunk append its result in request order, and sends the body; no
+// worker ever encodes JSON and no result becomes a JsonValue tree.
 // A scrape is answered in place on the loop thread and never becomes a
 // frame.
 //
@@ -109,9 +111,12 @@ class JsonRpcServer : public SocketServer {
     obs::RequestContext ctx;
   };
 
-  /// Builds one call's JSON-RPC result on the loop thread; may throw
-  /// RpcError for a protocol-visible failure.
-  using ResultThunk = std::function<JsonValue()>;
+  /// Appends one call's JSON-RPC result, as JSON text, to the response
+  /// body `out`; runs on the loop thread. It may throw (RpcError for a
+  /// protocol-visible failure), even after appending: the server then cuts
+  /// the body back to where this call began and writes the error object
+  /// in its place.
+  using ResultThunk = std::function<void(std::string& out)>;
 
   /// Completes one call: call exactly once, from any thread, then drop it
   /// (stop() waits until every copy is gone).
@@ -196,7 +201,7 @@ class JsonRpcServer : public SocketServer {
   /// Sends an HTTP response and either re-arms (keep-alive) or finishes
   /// the connection. Loop thread.
   void respond_http(Connection& conn, int status, const char* reason,
-                    std::string_view content_type, const std::string& body,
+                    std::string_view content_type, std::string_view body,
                     bool keep_alive, bool head_only = false);
   /// Decodes a complete frame's JSON-RPC document, calls its handlers.
   void dispatch(const std::shared_ptr<Frame>& frame, std::string_view body);
@@ -205,7 +210,8 @@ class JsonRpcServer : public SocketServer {
                    const JsonValue& request);
   /// Drops one outstanding reply; the last posts the response.
   void release(const std::shared_ptr<Frame>& frame);
-  /// Runs the thunks, encodes and sends the body. Loop thread.
+  /// Writes the frame's body (envelopes, thunk results, errors) and sends
+  /// it. Loop thread.
   void respond_frame(Connection& conn, Frame& frame);
 
   RpcConfig config_;
@@ -233,6 +239,8 @@ class JsonRpcServer : public SocketServer {
       registry_.histogram("net_stage_service_us", obs::label("stage", "parse"));
   obs::LatencyHistogram& handle_us_ = registry_.histogram(
       "net_stage_service_us", obs::label("stage", "handle"));
+  obs::LatencyHistogram& encode_us_ = registry_.histogram(
+      "net_stage_service_us", obs::label("stage", "encode"));
   obs::LatencyHistogram& request_total_us_ =
       registry_.histogram("net_request_total_us");
 };

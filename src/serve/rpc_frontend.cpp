@@ -5,9 +5,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/hex.hpp"
 #include "serve/cascade.hpp"
 
 namespace phishinghook::serve {
@@ -35,39 +37,55 @@ std::optional<evm::Address> parse_address(const JsonValue& value,
   }
 }
 
-JsonValue result_object(const ScoreResult& result) {
-  JsonValue out;
-  out.set("address", JsonValue::string(result.address.to_hex()));
-  out.set("status", JsonValue::string(to_string(result.status)));
-  out.set("probability", JsonValue::number(result.probability));
-  out.set("flagged", JsonValue::boolean(result.flagged));
-  out.set("cache_hit", JsonValue::boolean(result.cache_hit));
-  // Cascade attribution: which stage answered and which model sits behind
-  // it. `model` is empty for unscored outcomes (errors, shed).
-  out.set("stage", JsonValue::number(static_cast<double>(result.stage)));
-  if (!result.model.empty()) {
-    out.set("model", JsonValue::string(result.model));
-  }
-  out.set("latency_us", JsonValue::number(result.latency_us));
-  out.set("queue_wait_us", JsonValue::number(result.queue_wait_us));
-  out.set("trace_id",
-          JsonValue::number(static_cast<double>(result.trace_id)));
-  if (!result.error.empty()) {
-    out.set("error", JsonValue::string(result.error));
-  }
-  return out;
-}
-
-JsonValue invalid_address_object(const JsonValue& entry,
+/// One invalid phook_scoreBatch entry's result object, as JSON text.
+std::string invalid_address_json(const JsonValue& entry,
                                  const std::string& why) {
-  JsonValue out;
-  out.set("address", entry.is_string() ? entry : JsonValue::null());
-  out.set("status", JsonValue::string("invalid_address"));
-  out.set("error", JsonValue::string(why));
+  std::string out = "{\"address\":";
+  if (entry.is_string()) {
+    entry.dump_to(out);
+  } else {
+    out += "null";
+  }
+  out += ",\"status\":\"invalid_address\",\"error\":\"";
+  net::json_escape_to(out, why);
+  out += "\"}";
   return out;
 }
 
 }  // namespace
+
+void write_result(std::string& out, const ScoreResult& result) {
+  out += "{\"address\":\"0x";
+  common::hex_append(out, result.address.bytes());
+  out += "\",\"status\":\"";
+  net::json_escape_to(out, to_string(result.status));
+  out += "\",\"probability\":";
+  net::json_number_to(out, result.probability);
+  out += result.flagged ? ",\"flagged\":true" : ",\"flagged\":false";
+  out += result.cache_hit ? ",\"cache_hit\":true" : ",\"cache_hit\":false";
+  // Cascade attribution: which stage answered and which model sits behind
+  // it. `model` is empty for unscored outcomes (errors, shed).
+  out += ",\"stage\":";
+  net::json_number_to(out, static_cast<double>(result.stage));
+  if (!result.model.empty()) {
+    out += ",\"model\":\"";
+    net::json_escape_to(out, result.model);
+    out += '"';
+  }
+  out += ",\"latency_us\":";
+  net::json_number_to(out, result.latency_us);
+  out += ",\"queue_wait_us\":";
+  net::json_number_to(out, result.queue_wait_us);
+  // A JSON number is a double here, so ids above 2^53 lose low bits.
+  out += ",\"trace_id\":";
+  net::json_number_to(out, static_cast<double>(result.trace_id));
+  if (!result.error.empty()) {
+    out += ",\"error\":\"";
+    net::json_escape_to(out, result.error);
+    out += '"';
+  }
+  out += '}';
+}
 
 RpcFrontend::RpcFrontend(ScoringEngine& engine, net::RpcConfig config)
     : engine_(engine), server_(config) {
@@ -77,7 +95,7 @@ RpcFrontend::RpcFrontend(ScoringEngine& engine, net::RpcConfig config)
                           std::bind_front(&RpcFrontend::score_batch, this));
   server_.register_method(
       "phook_health", [this](const JsonValue&, const CallInfo&, Reply reply) {
-        reply([this] { return health(); });
+        reply([this](std::string& out) { health().dump_to(out); });
       });
   server_.add_registry(engine_.prometheus_registry());
   server_.add_registry(server_.metrics_registry());
@@ -106,8 +124,8 @@ void RpcFrontend::score(const JsonValue& params, const CallInfo& call,
   if (!engine_.try_submit_many(
           {&*address, 1}, call.ctx,
           [reply = std::move(reply)](std::size_t, ScoreResult result) {
-            reply([result = std::move(result)] {
-              return result_object(result);
+            reply([result = std::move(result)](std::string& out) {
+              write_result(out, result);
             });
           })) {
     throw RpcError(rpc_errors::kShed, "scoring engine is shutting down");
@@ -124,10 +142,11 @@ void RpcFrontend::score_batch(const JsonValue& params, const CallInfo& call,
   const JsonValue::Array& entries = params.as_array()[0].as_array();
 
   // Each row fills its own slot on the worker that finished it, and the
-  // last one to land replies. Invalid entries answer in place (a null
-  // entry marks a scored row), so the response keeps request order.
+  // last one to land replies. Invalid entries are encoded at admission and
+  // answered in place (an empty entry marks a scored row), so the response
+  // keeps request order.
   struct Batch {
-    std::vector<JsonValue> invalid;
+    std::vector<std::string> invalid;
     std::vector<ScoreResult> scored;
     std::atomic<std::size_t> pending{1};  ///< rows out, plus the admission
     std::optional<Reply> reply;
@@ -138,8 +157,8 @@ void RpcFrontend::score_batch(const JsonValue& params, const CallInfo& call,
     std::string why;
     const std::optional<evm::Address> address = parse_address(entry, &why);
     if (address) addresses.push_back(*address);
-    batch->invalid.push_back(address ? JsonValue::null()
-                                     : invalid_address_object(entry, why));
+    batch->invalid.push_back(address ? std::string()
+                                     : invalid_address_json(entry, why));
   }
   batch->scored.resize(addresses.size());
   batch->pending += addresses.size();
@@ -151,14 +170,18 @@ void RpcFrontend::score_batch(const JsonValue& params, const CallInfo& call,
     // state that kept the reply would own its own frame.
     const Reply last = std::move(*state->reply);
     state->reply.reset();
-    last([state] {
-      JsonValue results = JsonValue::array();
+    last([state](std::string& out) {
+      out += '[';
       std::size_t next = 0;
-      for (JsonValue& entry : state->invalid) {
-        results.push_back(entry.is_null() ? result_object(state->scored[next++])
-                                          : std::move(entry));
+      for (std::size_t i = 0; i < state->invalid.size(); ++i) {
+        if (i > 0) out += ',';
+        if (state->invalid[i].empty()) {
+          write_result(out, state->scored[next++]);
+        } else {
+          out += state->invalid[i];
+        }
       }
-      return results;
+      out += ']';
     });
   };
   if (!engine_.try_submit_many(

@@ -23,7 +23,9 @@
 // The handlers run on the server's loop thread and never wait: the engine
 // worker that finishes a row replies (phook_score) or fills the row's slot
 // of a shared batch state, whose last row replies (phook_scoreBatch). The
-// reply thunks build the result objects back on the loop thread.
+// reply thunks write the result objects' JSON text straight into the
+// response body back on the loop thread (write_result); only
+// phook_health, /healthz and error objects go through a net::JsonValue.
 //
 // The request's causal identity crosses the boundary: the socket layer
 // mints the obs::RequestContext when the HTTP frame completes and the
@@ -43,6 +45,13 @@
 #include "serve/scoring_engine.hpp"
 
 namespace phishinghook::serve {
+
+/// Appends `result` as one phook_score result object to `out`. Keys come
+/// in a fixed order (address, status, probability, flagged, cache_hit,
+/// stage, model, latency_us, queue_wait_us, trace_id, error); `model` and
+/// `error` are left out when empty. Numbers print as
+/// net::JsonValue::number would print them.
+void write_result(std::string& out, const ScoreResult& result);
 
 class RpcFrontend {
  public:

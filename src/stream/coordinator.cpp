@@ -39,7 +39,13 @@ void StreamCoordinator::start() {
 }
 
 bool StreamCoordinator::finished() const {
-  return generator_done_.load(std::memory_order_acquire) && in_flight_ == 0;
+  // A bounded miner counts too: an unpaced generator can reach
+  // max_requests before the last block is mined, and drain() would then
+  // stop the miner short of max_blocks.
+  const bool miner_done = config_.max_blocks == 0 ||
+                          miner_done_.load(std::memory_order_acquire);
+  return miner_done && generator_done_.load(std::memory_order_acquire) &&
+         in_flight_ == 0;
 }
 
 void StreamCoordinator::drain() {

@@ -128,8 +128,9 @@ class StreamCoordinator {
   void start();
 
   /// True once the generator finished on its own (max_blocks/max_requests
-  /// reached) and every submitted row's callback has run. Poll this to
-  /// detect natural completion, then drain() to join.
+  /// reached), a bounded miner (max_blocks != 0) has mined its last block,
+  /// and every submitted row's callback has run. Poll this to detect
+  /// natural completion, then drain() to join.
   bool finished() const;
 
   /// Graceful stop: miner → follower → generator flush, joining each, then

@@ -1,6 +1,11 @@
 // Keccak-256 test vectors and address derivation.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/errors.hpp"
 #include "common/hex.hpp"
 #include "evm/address.hpp"
@@ -39,6 +44,51 @@ TEST(Keccak, MultiBlockInput) {
     streaming.update(std::span<const std::uint8_t>(&byte, 1));
   }
   EXPECT_EQ(streaming.finalize(), oneshot);
+}
+
+/// Deterministic test input: byte i is (131 i + 7) mod 256.
+std::vector<std::uint8_t> pattern_bytes(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i * 131 + 7) & 0xff);
+  }
+  return bytes;
+}
+
+TEST(Keccak, PinnedDigestsAroundTheBlockBoundary) {
+  // Digests of pattern_bytes(n) from the byte-at-a-time absorber, pinned
+  // so the block-wise absorber stays bit-identical on each side of the
+  // 136-byte rate and over many blocks.
+  const std::vector<std::pair<std::size_t, std::string>> pinned = {
+      {0, "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"},
+      {1, "ee2a4bc7db81da2b7164e56b3649b1e2a09c58c455b15dabddd9146c7582cebc"},
+      {135,
+       "177d7a0621ad962b4b2566f780a3fd53c60ba8dd5191af15928a21110a58551e"},
+      {136,
+       "f32872a69dc02e38925627f91d4148d250a8566a159fecd9a609ef99d32505bc"},
+      {137,
+       "ac49349b2ea643629900a9b4dc527f96ab9cca35422e8c669aea1b0f03c1c32e"},
+      {500,
+       "23171914359ed32777dd1925cd6ec9e4b2c799cbbe18f0b9b94c70cc192f9485"},
+      {4096,
+       "b82a280ca4a4b61fe3de4ec04bcf5f851cdc16bdce73a3aa64cd18553cae66ab"},
+  };
+  for (const auto& [length, digest] : pinned) {
+    EXPECT_EQ(hash_to_hex(keccak256(pattern_bytes(length))), digest)
+        << "length " << length;
+  }
+}
+
+TEST(Keccak, UpdateSplitAtEveryOffsetMatchesOneShot) {
+  const std::vector<std::uint8_t> input = pattern_bytes(300);
+  const Hash256 oneshot = keccak256(input);
+  const std::span<const std::uint8_t> all(input);
+  for (std::size_t split = 0; split <= input.size(); ++split) {
+    Keccak256 hasher;
+    hasher.update(all.first(split));
+    hasher.update(all.subspan(split));
+    EXPECT_EQ(hasher.finalize(), oneshot) << "split at " << split;
+  }
 }
 
 TEST(Keccak, FinalizeTwiceThrows) {

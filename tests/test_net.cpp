@@ -15,13 +15,19 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -186,6 +192,92 @@ TEST(NetJson, UnicodeEscapesIncludingSurrogatePairs) {
   EXPECT_FALSE(net::JsonValue::parse(R"("\ud83d")", &error).has_value());
 }
 
+/// The number form the JSON writer has always printed, via printf.
+std::string printf_number(double x) {
+  if (!std::isfinite(x)) return "null";
+  char buf[64];
+  if (x == std::floor(x) && std::fabs(x) < 9.0e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", x);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", x);
+  }
+  return buf;
+}
+
+TEST(NetJson, NumbersPrintExactlyAsPrintfDoes) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.1, 0.5, 1.0, -1.0, 1.5, 2.5, 1e-5, 0.3, 1.0 / 3.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      8999999999999999.0, 9.0e15, -9.0e15, 9.0e15 + 2.0, 9007199254740992.0,
+      18446744073709551615.0, 1e21, 1e22, 1e-300, 123456789.125};
+  std::mt19937_64 rng(20240611);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 100000; ++i) {
+    switch (i % 4) {
+      case 0:  // any bit pattern: subnormals, NaNs, huge exponents
+        values.push_back(std::bit_cast<double>(rng()));
+        break;
+      case 1:  // probabilities
+        values.push_back(unit(rng));
+        break;
+      case 2:  // integral values on both sides of the 9e15 switch
+        values.push_back(std::ldexp(static_cast<double>(rng() >> 11),
+                                    static_cast<int>(rng() % 20)) -
+                         9.0e15);
+        break;
+      default:  // microsecond latencies
+        values.push_back(unit(rng) * 1e6);
+    }
+  }
+  for (const double x : values) {
+    ASSERT_EQ(net::JsonValue::number(x).dump(), printf_number(x))
+        << "bits " << std::bit_cast<std::uint64_t>(x);
+  }
+}
+
+TEST(NetJson, EscapeMatchesTheByteLoopItReplaced) {
+  const auto reference = [](std::string_view text) {
+    std::string out;
+    for (const char c : text) {
+      switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+          } else {
+            out += c;
+          }
+      }
+    }
+    return out;
+  };
+  std::string every_byte;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    EXPECT_EQ(net::json_string_escape(one), reference(one)) << "byte " << b;
+    every_byte += one;
+    every_byte += "ab";
+  }
+  EXPECT_EQ(net::json_string_escape(every_byte), reference(every_byte));
+  std::string appended = "kept:";
+  net::json_escape_to(appended, "say \"hi\"\n");
+  EXPECT_EQ(appended, "kept:say \\\"hi\\\"\\n");
+}
+
 // --- scrape regressions ------------------------------------------------------
 
 class ScrapeRegressionTest : public ::testing::Test {
@@ -280,7 +372,17 @@ class JsonRpcTest : public ::testing::Test {
                        const net::JsonRpcServer::CallInfo&,
                        net::JsonRpcServer::Reply reply) {
           echo_calls_.fetch_add(1, std::memory_order_relaxed);
-          reply([params] { return params; });
+          reply([params](std::string& out) { params.dump_to(out); });
+        });
+    // Its thunk writes half a result, then fails.
+    server_->register_method(
+        "halfway", [](const net::JsonValue&,
+                      const net::JsonRpcServer::CallInfo&,
+                      net::JsonRpcServer::Reply reply) {
+          reply([](std::string& out) {
+            out += R"({"partial":[1,2)";
+            throw net::RpcError(-32042, "gave up \"halfway\"");
+          });
         });
     // Parks its Reply for the test thread to complete (release_held).
     server_->register_method(
@@ -319,7 +421,7 @@ class JsonRpcTest : public ::testing::Test {
       reply = std::move(held_[i]);
       held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    (*reply)([result] { return result; });
+    (*reply)([result](std::string& out) { result.dump_to(out); });
   }
 
   std::unique_ptr<net::JsonRpcServer> server_;
@@ -386,6 +488,34 @@ TEST_F(JsonRpcTest, ProtocolViolationsGetTheirCodes) {
       server_->port(), R"({"jsonrpc":"2.0","id":9,"method":"boom"})"));
   EXPECT_NE(boom.find("-32603"), std::string::npos);
   EXPECT_NE(boom.find("kaboom"), std::string::npos);
+}
+
+TEST_F(JsonRpcTest, ThunkThrowingAfterAppendingLeavesOnlyTheErrorObject) {
+  start();
+  const std::string single = body_of(rpc_post(
+      server_->port(), R"({"jsonrpc":"2.0","id":7,"method":"halfway"})"));
+  EXPECT_EQ(single,
+            R"({"jsonrpc":"2.0","id":7,"error":{"code":-32042,)"
+            R"("message":"gave up \"halfway\""}})");
+
+  // Beside two good calls in a batch: three well-formed entries, in order.
+  const std::string batch = body_of(rpc_post(
+      server_->port(),
+      R"([{"jsonrpc":"2.0","id":1,"method":"echo","params":["a"]},)"
+      R"({"jsonrpc":"2.0","id":2,"method":"halfway"},)"
+      R"({"jsonrpc":"2.0","id":3,"method":"echo","params":{"b":0.5}}])"));
+  EXPECT_EQ(batch,
+            R"([{"jsonrpc":"2.0","id":1,"result":["a"]},)"
+            R"({"jsonrpc":"2.0","id":2,"error":{"code":-32042,)"
+            R"("message":"gave up \"halfway\""}},)"
+            R"({"jsonrpc":"2.0","id":3,"result":{"b":0.5}}])");
+  const std::optional<net::JsonValue> doc = net::JsonValue::parse(batch);
+  ASSERT_TRUE(doc.has_value()) << batch;
+  ASSERT_EQ(doc->as_array().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(doc->as_array()[i].find("id")->as_number(),
+              static_cast<double>(i + 1));
+  }
 }
 
 TEST_F(JsonRpcTest, NotificationsGet204NoBody) {

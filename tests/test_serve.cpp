@@ -12,14 +12,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "chain/chain_store.hpp"
@@ -211,6 +215,96 @@ evm::Hash256 hash_of_byte(std::uint8_t b) {
   evm::Hash256 h{};
   for (std::size_t i = 0; i < h.size(); ++i) h[i] = static_cast<std::uint8_t>(b + i);
   return h;
+}
+
+// --- result writer -----------------------------------------------------------
+
+/// The result object as a JsonValue tree, the encoding the writer replaced:
+/// write_result must produce its dump() byte for byte.
+net::JsonValue result_tree(const serve::ScoreResult& result) {
+  using net::JsonValue;
+  JsonValue out;
+  out.set("address", JsonValue::string(result.address.to_hex()));
+  out.set("status", JsonValue::string(serve::to_string(result.status)));
+  out.set("probability", JsonValue::number(result.probability));
+  out.set("flagged", JsonValue::boolean(result.flagged));
+  out.set("cache_hit", JsonValue::boolean(result.cache_hit));
+  out.set("stage", JsonValue::number(static_cast<double>(result.stage)));
+  if (!result.model.empty()) {
+    out.set("model", JsonValue::string(result.model));
+  }
+  out.set("latency_us", JsonValue::number(result.latency_us));
+  out.set("queue_wait_us", JsonValue::number(result.queue_wait_us));
+  out.set("trace_id",
+          JsonValue::number(static_cast<double>(result.trace_id)));
+  if (!result.error.empty()) {
+    out.set("error", JsonValue::string(result.error));
+  }
+  return out;
+}
+
+TEST(RpcResultWriter, MatchesTheJsonValueTreeByteForByte) {
+  const std::vector<serve::ScoreStatus> statuses = {
+      serve::ScoreStatus::kOk,           serve::ScoreStatus::kEmptyCode,
+      serve::ScoreStatus::kDegraded,     serve::ScoreStatus::kExtractError,
+      serve::ScoreStatus::kModelError,   serve::ScoreStatus::kShed};
+  const std::vector<std::string> models = {"", "random-forest",
+                                           "cascade(\"a\" -> b\\c)"};
+  const std::vector<std::string> errors = {
+      "", "eth_getCode failed", "quote \" backslash \\ newline \n tab \t",
+      std::string("ctl \x01\x1f\x7f end"), "utf-8 \xc3\xa9 raw \xff\x80"};
+  const std::vector<double> probabilities = {
+      -0.0, 0.0, 0.1, 1.0, 0.7071067811865476,
+      std::numeric_limits<double>::denorm_min(), 2.2250738585072e-310};
+  const std::vector<double> latencies = {
+      0.0, 12.5, 1171.337, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity()};
+  const std::vector<std::uint64_t> trace_ids = {
+      0, 1, 9000000000000000ull - 1, 9007199254740993ull,
+      std::numeric_limits<std::uint64_t>::max()};
+
+  std::size_t cases = 0;
+  std::size_t i = 0;
+  for (const serve::ScoreStatus status : statuses) {
+    for (const std::string& model : models) {
+      for (const std::string& error : errors) {
+        for (const double probability : probabilities) {
+          serve::ScoreResult result;
+          result.address = evm::Address::from_hex(
+              "0x279e2f385ce22f88650632d04260382bfb91808" +
+              std::to_string(i % 10));
+          result.status = status;
+          result.probability = probability;
+          result.flagged = i % 2 == 0;
+          result.cache_hit = i % 3 == 0;
+          result.stage = static_cast<std::uint32_t>(i % 2);
+          result.model = model;
+          result.error = error;
+          result.latency_us = latencies[i % latencies.size()];
+          result.queue_wait_us = latencies[(i + 2) % latencies.size()];
+          result.trace_id = trace_ids[i % trace_ids.size()];
+          ++i;
+
+          std::string out = "prefix,";
+          serve::write_result(out, result);
+          ASSERT_EQ(out, "prefix," + result_tree(result).dump());
+          std::string why;
+          const std::optional<net::JsonValue> doc = net::JsonValue::parse(
+              std::string_view(out).substr(7), &why);
+          ASSERT_TRUE(doc.has_value()) << why << ": " << out;
+          const double parsed = doc->find("probability")->as_number();
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed),
+                    std::bit_cast<std::uint64_t>(probability))
+              << out;
+          EXPECT_EQ(doc->find("error") != nullptr, !error.empty());
+          EXPECT_EQ(doc->find("model") != nullptr, !model.empty());
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, statuses.size() * models.size() * errors.size() *
+                       probabilities.size());
 }
 
 // --- artifact round-trips ----------------------------------------------------
