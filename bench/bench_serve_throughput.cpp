@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
 
   const std::filesystem::path artifact_path =
       bench::bench_output_dir(argv[0]) / "serve_rf.phookmdl";
-  serve::save_artifact_file(artifact_path, trained);
+  serve::save_scorer_artifact_file(artifact_path, trained);
   common::Timer load_timer;
-  const std::unique_ptr<core::HistogramAdapter> detector =
-      serve::load_artifact_file(artifact_path);
+  const std::unique_ptr<ml::Scorer> detector =
+      serve::load_scorer_artifact_file(artifact_path);
   std::printf("artifact %s: %ju bytes, loaded in %.1f ms\n\n",
               artifact_path.c_str(),
               static_cast<std::uintmax_t>(

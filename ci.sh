@@ -558,13 +558,20 @@ run_rpc_smoke() {
   fi
 
   lint_prometheus "${dir}/rpc_metrics.prom" net_requests_total \
-    net_responses_total net_connections_active net_batch_calls_total \
+    net_responses_total net_connections_active net_connections_accepted \
+    net_connections_rejected net_batch_calls_total \
     net_stage_service_us net_request_total_us serve_requests_completed \
     serve_cache_hit_rate
   # The two POSTs above were encoded before the scrape.
   if ! grep -Eq '^net_stage_service_us_count\{stage="encode"\} [1-9]' \
       "${dir}/rpc_metrics.prom"; then
     echo "ci.sh: /metrics has no net_stage_service_us{stage=\"encode\"} samples" >&2
+    exit 1
+  fi
+  # The loop counts each connection as it accepts it, the scrape's own
+  # included.
+  if ! grep -Eq '^net_connections_accepted [1-9]' "${dir}/rpc_metrics.prom"; then
+    echo "ci.sh: /metrics shows no accepted connection" >&2
     exit 1
   fi
   python3 - "${dir}/rpc_single.json" "${dir}/rpc_batch.json" \

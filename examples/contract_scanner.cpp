@@ -116,10 +116,10 @@ int main(int argc, char** argv) {
   // --- train once, serve many: freeze + reload the artifact ----------------
   const std::filesystem::path artifact_path =
       std::filesystem::temp_directory_path() / "contract_scanner.phookmdl";
-  serve::save_artifact_file(artifact_path, trained);
+  serve::save_scorer_artifact_file(artifact_path, trained);
   common::Timer load_timer;
-  const std::unique_ptr<core::HistogramAdapter> detector =
-      serve::load_artifact_file(artifact_path);
+  const std::unique_ptr<ml::Scorer> detector =
+      serve::load_scorer_artifact_file(artifact_path);
   std::printf("artifact: %ju bytes at %s, reloaded in %.1f ms\n\n",
               static_cast<std::uintmax_t>(
                   std::filesystem::file_size(artifact_path)),

@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <ctime>
 
-#include "obs/metrics.hpp"  // json_escape
+#include "obs/metrics.hpp"  // json_escape_to
 
 namespace phishinghook::common {
 
@@ -153,7 +153,7 @@ void log_line(LogLevel level, const std::string& message) {
   if (log_format() == LogFormat::kJson) {
     std::string out = json_head(level);
     out += ",\"msg\":\"";
-    out += obs::json_escape(message);
+    obs::json_escape_to(out, message);
     out += "\"}";
     emit(out);
   } else {
@@ -167,15 +167,15 @@ void log_event(LogLevel level, std::string_view event,
   if (log_format() == LogFormat::kJson) {
     std::string out = json_head(level);
     out += ",\"event\":\"";
-    out += obs::json_escape(event);
+    obs::json_escape_to(out, event);
     out += '"';
     for (const LogField& field : fields) {
       out += ",\"";
-      out += obs::json_escape(field.key);
+      obs::json_escape_to(out, field.key);
       out += "\":";
       if (field.quoted) {
         out += '"';
-        out += obs::json_escape(field.value);
+        obs::json_escape_to(out, field.value);
         out += '"';
       } else {
         out += field.value;

@@ -1,6 +1,5 @@
 #include "net/event_loop.hpp"
 
-#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -15,12 +14,6 @@
 #include "common/errors.hpp"
 
 namespace phishinghook::net {
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 namespace {
 std::atomic<int>& eintr_injections() {

@@ -93,9 +93,6 @@ class EventLoop {
   Task tick_;
 };
 
-/// Puts `fd` into non-blocking mode (O_NONBLOCK). Returns false on error.
-bool set_nonblocking(int fd);
-
 namespace testing {
 /// Makes the next `n` net-layer send() calls fail with EINTR before any
 /// bytes move — a deterministic stand-in for a signal landing mid-write.

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "obs/metrics.hpp"
+
 namespace phishinghook::net {
 
 JsonValue JsonValue::boolean(bool b) {
@@ -60,40 +62,6 @@ void JsonValue::push_back(JsonValue value) {
   array_.push_back(std::move(value));
 }
 
-void json_escape_to(std::string& out, std::string_view text) {
-  // Bytes that need no escape are appended in runs.
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
-      continue;
-    }
-    out.append(text.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: {
-        static constexpr char kHex[] = "0123456789abcdef";
-        out += "\\u00";
-        out += kHex[(c >> 4) & 0xf];
-        out += kHex[c & 0xf];
-      }
-    }
-  }
-  out.append(text.data() + run, text.size() - run);
-}
-
-std::string json_string_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  json_escape_to(out, text);
-  return out;
-}
-
 void json_number_to(std::string& out, double value) {
   if (!std::isfinite(value)) {
     out += "null";  // JSON has no inf/nan
@@ -126,7 +94,7 @@ void JsonValue::dump_to(std::string& out) const {
       return;
     case Type::kString:
       out += '"';
-      json_escape_to(out, string_);
+      obs::json_escape_to(out, string_);
       out += '"';
       return;
     case Type::kArray: {
@@ -143,7 +111,7 @@ void JsonValue::dump_to(std::string& out) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out += ',';
         out += '"';
-        json_escape_to(out, object_[i].first);
+        obs::json_escape_to(out, object_[i].first);
         out += "\":";
         object_[i].second.dump_to(out);
       }

@@ -86,13 +86,6 @@ class JsonValue {
   Object object_;
 };
 
-/// Escapes `text` for embedding inside a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string json_string_escape(std::string_view text);
-
-/// Appends json_string_escape(text) to `out`.
-void json_escape_to(std::string& out, std::string_view text);
-
 /// Appends `value` as JsonValue::number(value).dump() would: integral
 /// values below 9e15 as "%.0f", other finite values as "%.17g", NaN and
 /// infinities as null. Written with std::to_chars, whose fixed and

@@ -1,13 +1,22 @@
 #include "net/json_rpc_server.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/epoll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cerrno>
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "common/errors.hpp"
 #include "obs/trace.hpp"
 
 namespace phishinghook::net {
@@ -120,13 +129,7 @@ void JsonRpcServer::Reply::operator()(ResultThunk result) const {
   frame_->server->release(frame_);
 }
 
-JsonRpcServer::JsonRpcServer(RpcConfig config)
-    : SocketServer(SocketServerConfig{
-          config.max_connections,
-          /*max_in_bytes=*/config.max_body_bytes + kMaxHeadBytes,
-          config.idle_timeout_ms,
-      }),
-      config_(config) {
+JsonRpcServer::JsonRpcServer(RpcConfig config) : config_(config) {
   registry_.set_help("net_requests_total",
                      "HTTP requests received (JSON-RPC frames and scrapes)");
   registry_.set_help("net_requests_malformed",
@@ -161,9 +164,44 @@ void JsonRpcServer::set_health(HealthFn health) {
 }
 
 void JsonRpcServer::start(std::uint16_t port) {
-  SocketServer::start(port);
-  std::lock_guard<std::mutex> lock(frames_mutex_);
-  stopping_ = false;
+  if (running_.load(std::memory_order_acquire) || listen_fd_ >= 0) {
+    throw StateError("JsonRpcServer::start: already running");
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    throw StateError(std::string("JsonRpcServer: socket() failed: ") +
+                     std::strerror(errno));
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 64) != 0) {
+    const std::string why = std::strerror(errno);
+    ::close(fd);
+    throw StateError("JsonRpcServer: cannot listen on 127.0.0.1:" +
+                     std::to_string(port) + ": " + why);
+  }
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    port_ = ntohs(addr.sin_port);
+  } else {
+    port_ = port;
+  }
+  listen_fd_ = fd;
+  {
+    std::lock_guard<std::mutex> lock(frames_mutex_);
+    stopping_ = false;
+  }
+  loop_.add_fd(listen_fd_, EPOLLIN, [this](std::uint32_t) { accept_ready(); });
+  // The tick drives the idle sweep; 100 ms keeps reap latency small at
+  // negligible idle cost.
+  loop_.set_tick(100, [this] { sweep_idle(); });
+  running_.store(true, std::memory_order_release);
+  thread_ = std::thread([this] { loop_.run(); });
 }
 
 void JsonRpcServer::stop() {
@@ -174,7 +212,20 @@ void JsonRpcServer::stop() {
     stopping_ = true;
     frames_cv_.wait(lock, [this] { return frames_in_flight_ == 0; });
   }
-  SocketServer::stop();
+  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  // The close-everything task lands in the loop's final task drain after
+  // stop() breaks the iteration — bounded, because nothing here blocks.
+  loop_.post([this] {
+    std::vector<std::uint64_t> ids;
+    ids.reserve(conns_.size());
+    for (const auto& [id, conn] : conns_) ids.push_back(id);
+    for (const std::uint64_t id : ids) destroy_connection(id);
+    loop_.remove_fd(listen_fd_);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  });
+  loop_.stop();
+  thread_.join();
 }
 
 std::size_t JsonRpcServer::frames_in_flight() const {
@@ -182,29 +233,171 @@ std::size_t JsonRpcServer::frames_in_flight() const {
   return frames_in_flight_;
 }
 
-void JsonRpcServer::on_open(Connection& conn) {
-  conn.user = std::make_shared<HttpState>();
-}
+// --- connection layer --------------------------------------------------------
 
-void JsonRpcServer::on_data(Connection& conn) { process_input(conn); }
-
-void JsonRpcServer::on_overflow(Connection& conn) {
-  conn.in.clear();
-  refuse(conn, 413, "Payload Too Large", "request body exceeds server limit");
-}
-
-void JsonRpcServer::process_input(Connection& conn) {
-  auto* state = static_cast<HttpState*>(conn.user.get());
-  // A scrape is answered in place, so one read may carry several
-  // pipelined requests: loop rather than recurse once per request.
-  while (state != nullptr && !state->busy && next_request(conn, *state)) {
+void JsonRpcServer::accept_ready() {
+  while (true) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN: drained the backlog
+    }
+    if (conns_.size() >= config_.max_connections) {
+      // Cap reached: shed at the door. An immediate close is visible to
+      // the client as ECONNRESET/empty response — cheaper for everyone
+      // than parking a socket we will never serve.
+      ::close(fd);
+      connections_rejected_.add(1);
+      continue;
+    }
+    const std::uint64_t id = next_id_++;
+    Connection& conn = conns_[id];
+    conn.id = id;
+    conn.fd = fd;
+    conn.events = EPOLLIN;
+    conn.last_activity = std::chrono::steady_clock::now();
+    connections_active_.set(static_cast<double>(conns_.size()));
+    connections_accepted_.add(1);
+    loop_.add_fd(fd, conn.events, [this, id](std::uint32_t events) {
+      connection_event(id, events);
+    });
   }
 }
 
-bool JsonRpcServer::next_request(Connection& conn, HttpState& state) {
+void JsonRpcServer::connection_event(std::uint64_t id, std::uint32_t events) {
+  auto it = conns_.find(id);
+  if (it == conns_.end()) return;  // stale event for a reused fd
+  if (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+    read_ready(it->second);
+    it = conns_.find(id);  // read may have destroyed the connection
+    if (it == conns_.end()) return;
+  }
+  if (events & EPOLLOUT) {
+    write_ready(it->second);
+  }
+}
+
+void JsonRpcServer::read_ready(Connection& conn) {
+  const std::uint64_t id = conn.id;
+  bool got_bytes = false;
+  while (true) {
+    char buffer[4096];
+    const ssize_t n = ::recv(conn.fd, buffer, sizeof(buffer), 0);
+    if (n > 0) {
+      conn.in.append(buffer, static_cast<std::size_t>(n));
+      got_bytes = true;
+      if (conn.in.size() > config_.max_body_bytes + kMaxHeadBytes) {
+        conn.last_activity = std::chrono::steady_clock::now();
+        conn.in.clear();
+        refuse(conn, 413, "Payload Too Large",
+               "request body exceeds server limit");
+        return;
+      }
+      continue;
+    }
+    if (n == 0) {
+      // Peer closed. Anything still buffered can no longer be asked for;
+      // unsent response bytes may still flush if the peer half-closed,
+      // but a full close shows up as a send error and cleans up there.
+      destroy_connection(id);
+      return;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    destroy_connection(id);
+    return;
+  }
+  if (got_bytes) {
+    conn.last_activity = std::chrono::steady_clock::now();
+    process_input(conn);
+  }
+}
+
+void JsonRpcServer::write_ready(Connection& conn) {
+  flush(conn);
+  if (conn.out_offset >= conn.out.size() && conn.close_after_flush) {
+    destroy_connection(conn.id);
+    return;
+  }
+  update_interest(conn);
+}
+
+void JsonRpcServer::flush(Connection& conn) {
+  while (conn.out_offset < conn.out.size()) {
+    const long n = send_some(conn.fd, conn.out.data() + conn.out_offset,
+                             conn.out.size() - conn.out_offset);
+    if (n >= 0) {
+      conn.out_offset += static_cast<std::size_t>(n);
+      conn.last_activity = std::chrono::steady_clock::now();
+      continue;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // EPOLLOUT will resume
+    // Hard error (EPIPE, ECONNRESET): nothing to salvage. Defer the
+    // destroy so callers still holding the reference finish their frame.
+    conn.out.clear();
+    conn.out_offset = 0;
+    conn.close_after_flush = true;
+    const std::uint64_t id = conn.id;
+    loop_.post([this, id] { destroy_connection(id); });
+    return;
+  }
+  if (conn.out_offset == conn.out.size() && !conn.out.empty()) {
+    conn.out.clear();
+    conn.out_offset = 0;
+  }
+}
+
+void JsonRpcServer::update_interest(Connection& conn) {
+  std::uint32_t events = EPOLLIN;
+  if (conn.out_offset < conn.out.size()) events |= EPOLLOUT;
+  if (events == conn.events) return;
+  conn.events = events;
+  loop_.set_events(conn.fd, events);
+}
+
+void JsonRpcServer::with_connection(std::uint64_t id,
+                                    std::function<void(Connection&)> fn) {
+  loop_.post([this, id, fn = std::move(fn)] {
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) return;  // connection died first — drop
+    fn(it->second);
+  });
+}
+
+void JsonRpcServer::destroy_connection(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;
+  loop_.remove_fd(it->second.fd);
+  ::close(it->second.fd);
+  conns_.erase(it);
+  connections_active_.set(static_cast<double>(conns_.size()));
+}
+
+void JsonRpcServer::sweep_idle() {
+  if (config_.idle_timeout_ms == 0) return;
+  const auto now = std::chrono::steady_clock::now();
+  const auto limit = std::chrono::milliseconds(config_.idle_timeout_ms);
+  std::vector<std::uint64_t> stale;
+  for (const auto& [id, conn] : conns_) {
+    if (now - conn.last_activity > limit) stale.push_back(id);
+  }
+  for (const std::uint64_t id : stale) destroy_connection(id);
+}
+
+// --- HTTP and JSON-RPC -------------------------------------------------------
+
+void JsonRpcServer::process_input(Connection& conn) {
+  // A scrape is answered in place, so one read may carry several
+  // pipelined requests: loop rather than recurse once per request.
+  while (!conn.busy && next_request(conn)) {
+  }
+}
+
+bool JsonRpcServer::next_request(Connection& conn) {
   if (conn.in.empty()) return false;
   obs::Tracer& tracer = obs::Tracer::global();
-  if (state.first_byte_us == 0) state.first_byte_us = tracer.now_us();
+  if (conn.first_byte_us == 0) conn.first_byte_us = tracer.now_us();
 
   const std::size_t head_end = conn.in.find("\r\n\r\n");
   if (head_end == std::string::npos) {
@@ -265,7 +458,7 @@ bool JsonRpcServer::next_request(Connection& conn, HttpState& state) {
     // A scrape is not a JSON-RPC frame: no causal identity, no stage
     // timings, nothing in flight.
     requests_total_.inc();
-    state.first_byte_us = 0;
+    conn.first_byte_us = 0;
     const std::string target =
         conn.in.substr(method_end + 1, target_end - method_end - 1);
     const bool head_only = method == "HEAD";
@@ -280,18 +473,18 @@ bool JsonRpcServer::next_request(Connection& conn, HttpState& state) {
     ++frames_in_flight_;
   }
   auto frame = std::make_shared<Frame>(*this, conn.id, keep_alive);
-  state.busy = true;
+  conn.busy = true;
 
   // The frame is complete: give the request its causal identity and
   // attribute the receive span (first byte -> frame complete) as the
   // "parse" stage on its lane.
   frame->ctx = obs::mint_request(tracer);
   const double now = tracer.now_us();
-  parse_us_.record(now - state.first_byte_us);
-  obs::stage_slice(frame->ctx, "net.parse", state.first_byte_us, now,
+  parse_us_.record(now - conn.first_byte_us);
+  obs::stage_slice(frame->ctx, "net.parse", conn.first_byte_us, now,
                    tracer);
   frame->ctx.handoff_us = now;
-  state.first_byte_us = 0;
+  conn.first_byte_us = 0;
   requests_total_.inc();
 
   // Handlers never touch the connection, so the body is parsed in place.
@@ -307,9 +500,6 @@ void JsonRpcServer::respond_scrape(Connection& conn, std::string_view target,
   std::lock_guard<std::mutex> lock(scrape_mutex_);
   if (path == "/metrics") {
     for (const Hook& hook : hooks_) hook();
-    active_connections_.set(static_cast<double>(connections()));
-    accepted_gauge_.set(static_cast<double>(connections_accepted()));
-    rejected_gauge_.set(static_cast<double>(connections_rejected()));
     std::ostringstream body;
     for (const obs::MetricsRegistry* registry : scraped_) {
       registry->write_prometheus(body);
@@ -344,8 +534,8 @@ void JsonRpcServer::respond_http(Connection& conn, int status,
                                  std::string_view content_type,
                                  std::string_view body, bool keep_alive,
                                  bool head_only) {
-  // The head goes straight into the write buffer; send_data appends the
-  // body behind it and flushes both at once.
+  // Head and body go straight into the write buffer and are flushed at
+  // once; EPOLLOUT drains what the kernel does not take now.
   std::string& out = conn.out;
   out += "HTTP/1.1 ";
   out += std::to_string(status);
@@ -364,10 +554,17 @@ void JsonRpcServer::respond_http(Connection& conn, int status,
                     : "Connection: close\r\n\r\n";
   responses_total_.inc();
   // HEAD: the headers describe the body a GET would return; no body.
-  send_data(conn, head_only ? std::string_view() : body);
-  auto* state = static_cast<HttpState*>(conn.user.get());
-  if (state != nullptr) state->busy = !keep_alive;
-  if (!keep_alive) finish(conn);
+  if (!head_only) out.append(body);
+  flush(conn);
+  update_interest(conn);
+  conn.busy = !keep_alive;
+  if (keep_alive) return;
+  // Close once the write buffer drains (write_ready), or now if it has.
+  conn.close_after_flush = true;
+  if (conn.out_offset >= conn.out.size()) {
+    const std::uint64_t id = conn.id;
+    loop_.post([this, id] { destroy_connection(id); });
+  }
 }
 
 void JsonRpcServer::dispatch(const std::shared_ptr<Frame>& frame,

@@ -9,6 +9,20 @@
 //       "method":"phook_score","params":["0x1234...40 hex..."]}'
 //   curl -s http://127.0.0.1:9545/metrics
 //
+// One class owns the whole stack: the loopback listener (port 0 =
+// ephemeral), the table of buffered connections, the idle sweep, and the
+// HTTP/JSON-RPC protocol on top. It runs one EventLoop on its own thread.
+// Per connection it keeps a read buffer that grows as bytes arrive and a
+// write buffer drained opportunistically: a send flushes what the kernel
+// takes now (send_some retries EINTR) and arms EPOLLOUT for the rest, so
+// a peer that reads slowly costs memory, never a blocked thread.
+// Connection state lives on the loop thread only and needs no lock; work
+// finished on another thread (an engine worker's reply) re-enters through
+// a posted task that drops silently when its connection died meanwhile.
+// Connection ids are never reused within a server, which makes that race
+// benign. The loop keeps net_connections_{active,accepted,rejected}
+// current where it accepts, refuses and closes connections.
+//
 // Every request takes one framing path: parse the head, take
 // Content-Length (required for POST, 0 when a GET/HEAD omits it), apply
 // the keep-alive rules, then route on the method:
@@ -33,9 +47,12 @@
 // frame.
 //
 // This layer sheds nothing itself: a connection has one frame in flight,
-// max_connections caps the connections, and the engine's max_queue and
-// deadline shed scoring work as results whose status says "shed".
-// Malformed requests and per-stage latency land in the net_* registry.
+// max_connections caps the connections (an accept beyond it is closed at
+// once and counted as rejected), and the engine's max_queue and deadline
+// shed scoring work as results whose status says "shed". Connections idle
+// past idle_timeout_ms are reaped by the loop tick, which is also what
+// bounds stop() when a client stalls mid-request. Malformed requests and
+// per-stage latency land in the net_* registry.
 //
 // Transport refusals: unknown method (405), POST without Content-Length
 // (411), bodies over max_body_bytes (413) and heads over 16 KiB (431);
@@ -44,6 +61,8 @@
 // valid/invalid entries and notification elision, capped at max_batch.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -52,11 +71,12 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "net/json.hpp"
-#include "net/socket_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
 
@@ -92,10 +112,12 @@ struct RpcConfig {
   std::size_t max_body_bytes = 1 << 20;
   /// Entries allowed in one JSON-RPC batch array.
   std::size_t max_batch = 64;
+  /// Connections with no byte movement for this long are closed by the
+  /// loop tick. 0 disables the sweep (tests that stall on purpose).
   std::uint64_t idle_timeout_ms = 30000;
 };
 
-class JsonRpcServer : public SocketServer {
+class JsonRpcServer {
   struct Frame;
 
  public:
@@ -138,7 +160,10 @@ class JsonRpcServer : public SocketServer {
                                      const CallInfo& call, Reply reply)>;
 
   explicit JsonRpcServer(RpcConfig config = {});
-  ~JsonRpcServer() override;
+  ~JsonRpcServer();
+
+  JsonRpcServer(const JsonRpcServer&) = delete;
+  JsonRpcServer& operator=(const JsonRpcServer&) = delete;
 
   /// Registers `method`; call before start(). Re-registering replaces.
   void register_method(std::string method, Handler handler);
@@ -152,17 +177,30 @@ class JsonRpcServer : public SocketServer {
   /// Supplies the /healthz body. Unset = {"status":"ok"}.
   void set_health(HealthFn health);
 
-  /// Binds + starts the loop thread.
+  /// Binds 127.0.0.1:`port` (0 = kernel-assigned) and starts the loop
+  /// thread. Throws StateError if already started or the bind fails.
   void start(std::uint16_t port);
 
-  /// Stops reading new frames, waits until none is in flight, then stops
-  /// the loop. Idempotent.
+  /// Stops reading new frames, waits until none is in flight, then closes
+  /// every connection and the listener, stops the loop and joins it.
+  /// Idempotent.
   void stop();
 
-  /// The server's net_* metrics (counters, gauges, stage histograms); its
-  /// connection gauges are synced on every /metrics scrape. Not served
-  /// until attached with add_registry. The non-const overload lets benches
-  /// re-register a histogram handle to read it.
+  bool running() const { return running_.load(std::memory_order_acquire); }
+  std::uint16_t port() const { return port_; }
+
+  /// Live connections and connections accepted so far, read from the
+  /// net_connections_{active,accepted} gauges the loop keeps.
+  std::size_t connections() const {
+    return static_cast<std::size_t>(connections_active_.value());
+  }
+  std::uint64_t connections_accepted() const {
+    return static_cast<std::uint64_t>(connections_accepted_.value());
+  }
+
+  /// The server's net_* metrics (counters, gauges, stage histograms). Not
+  /// served until attached with add_registry. The non-const overload lets
+  /// benches re-register a histogram handle to read it.
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
   obs::MetricsRegistry& metrics_registry() { return registry_; }
 
@@ -175,23 +213,42 @@ class JsonRpcServer : public SocketServer {
   /// not yet queued. Zero once traffic settles.
   std::size_t frames_in_flight() const;
 
- protected:
-  void on_data(Connection& conn) override;
-  void on_open(Connection& conn) override;
-  void on_overflow(Connection& conn) override;
-
  private:
-  /// Per-connection HTTP state, hung off Connection::user.
-  struct HttpState {
-    bool busy = false;        ///< frame in flight or closing; don't read ahead
-    double first_byte_us = 0; ///< tracer clock at this request's first byte
+  /// One accepted socket. Loop thread only.
+  struct Connection {
+    std::uint64_t id = 0;
+    int fd = -1;
+    std::string in;            ///< bytes received, not yet consumed
+    std::string out;           ///< bytes queued, not yet sent
+    std::size_t out_offset = 0;
+    bool close_after_flush = false;
+    /// Interest mask registered with the loop (EPOLLIN, plus EPOLLOUT
+    /// while bytes wait); kept so an unchanged mask costs no epoll_ctl.
+    std::uint32_t events = 0;
+    std::chrono::steady_clock::time_point last_activity;
+    bool busy = false;         ///< frame in flight or closing; don't read ahead
+    double first_byte_us = 0;  ///< tracer clock at this request's first byte
   };
+
+  // Connection layer (loop thread unless noted).
+  void accept_ready();
+  void connection_event(std::uint64_t id, std::uint32_t events);
+  void read_ready(Connection& conn);
+  void write_ready(Connection& conn);
+  /// Sends as much of conn.out as the kernel takes now.
+  void flush(Connection& conn);
+  void update_interest(Connection& conn);
+  /// Runs `fn(conn)` on the loop thread if connection `id` is still alive;
+  /// drops it otherwise. Thread-safe.
+  void with_connection(std::uint64_t id, std::function<void(Connection&)> fn);
+  void destroy_connection(std::uint64_t id);
+  void sweep_idle();
 
   /// Serves the buffered requests until one is incomplete or in flight.
   void process_input(Connection& conn);
   /// Takes one request off conn.in and answers or dispatches it; false
   /// when there is none to take (incomplete, or refused and closing).
-  bool next_request(Connection& conn, HttpState& state);
+  bool next_request(Connection& conn);
   /// Answers GET/HEAD `target` in place. Loop thread.
   void respond_scrape(Connection& conn, std::string_view target,
                       bool head_only, bool keep_alive);
@@ -232,9 +289,11 @@ class JsonRpcServer : public SocketServer {
   obs::Counter responses_total_ = registry_.counter("net_responses_total");
   obs::Counter malformed_ = registry_.counter("net_requests_malformed");
   obs::Counter batch_calls_ = registry_.counter("net_batch_calls_total");
-  obs::Gauge active_connections_ = registry_.gauge("net_connections_active");
-  obs::Gauge accepted_gauge_ = registry_.gauge("net_connections_accepted");
-  obs::Gauge rejected_gauge_ = registry_.gauge("net_connections_rejected");
+  obs::Gauge connections_active_ = registry_.gauge("net_connections_active");
+  obs::Gauge connections_accepted_ =
+      registry_.gauge("net_connections_accepted");
+  obs::Gauge connections_rejected_ =
+      registry_.gauge("net_connections_rejected");
   obs::LatencyHistogram& parse_us_ =
       registry_.histogram("net_stage_service_us", obs::label("stage", "parse"));
   obs::LatencyHistogram& handle_us_ = registry_.histogram(
@@ -243,6 +302,16 @@ class JsonRpcServer : public SocketServer {
       "net_stage_service_us", obs::label("stage", "encode"));
   obs::LatencyHistogram& request_total_us_ =
       registry_.histogram("net_request_total_us");
+
+  // Declared last: queued tasks may hold frames, which touch the members
+  // above when the loop discards them.
+  EventLoop loop_;
+  std::thread thread_;
+  std::atomic<bool> running_{false};
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::unordered_map<std::uint64_t, Connection> conns_;  ///< loop thread
+  std::uint64_t next_id_ = 1;                            ///< loop thread
 };
 
 }  // namespace phishinghook::net

@@ -34,28 +34,31 @@ std::string label(std::string_view key, std::string_view value) {
   return out;
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
+void json_escape_to(std::string& out, std::string_view text) {
+  // Bytes that need no escape are appended in runs.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(kHex[(c >> 4) & 0xF]);
-          out.push_back(kHex[c & 0xF]);
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[(c >> 4) & 0xf];
+        out += kHex[c & 0xf];
+      }
     }
   }
-  return out;
+  out.append(text.data() + run, text.size() - run);
 }
 
 namespace {

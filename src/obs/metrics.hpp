@@ -71,9 +71,10 @@ class Gauge {
 /// quotes. Join several with commas before passing to the registry.
 std::string label(std::string_view key, std::string_view value);
 
-/// Escapes a string for embedding inside a JSON string literal (shared by
-/// the trace writer and the structured log sink).
-std::string json_escape(std::string_view text);
+/// Appends `text` to `out` escaped for embedding inside a JSON string
+/// literal: quotes, backslashes and control characters. The repo's one
+/// JSON string escaper (trace writer, log sink, JSON-RPC replies).
+void json_escape_to(std::string& out, std::string_view text);
 
 class MetricsRegistry {
  public:

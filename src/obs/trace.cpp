@@ -7,7 +7,7 @@
 #include <fstream>
 #include <ostream>
 
-#include "obs/metrics.hpp"  // json_escape
+#include "obs/metrics.hpp"  // json_escape_to
 
 namespace phishinghook::obs {
 
@@ -229,9 +229,12 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     });
     out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     char id_hex[24];
+    std::string name;  // the event name, escaped
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (i > 0) out << ',';
       const Event& event = *rows[i].event;
+      name.clear();
+      json_escape_to(name, event.name);
       switch (event.ph) {
         case 'b':
         case 'e':
@@ -239,7 +242,7 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
           // one request lane, regardless of the recording thread.
           std::snprintf(id_hex, sizeof(id_hex), "0x%llx",
                         static_cast<unsigned long long>(event.id));
-          out << "{\"name\":\"" << json_escape(event.name)
+          out << "{\"name\":\"" << name
               << "\",\"cat\":\"phook.req\",\"ph\":\"" << event.ph
               << "\",\"id\":\"" << id_hex << "\",\"pid\":1,\"tid\":"
               << rows[i].tid << ",\"ts\":" << event.ts_us << '}';
@@ -249,14 +252,14 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
         case 'f':
           std::snprintf(id_hex, sizeof(id_hex), "0x%llx",
                         static_cast<unsigned long long>(event.id));
-          out << "{\"name\":\"" << json_escape(event.name)
+          out << "{\"name\":\"" << name
               << "\",\"cat\":\"phook.flow\",\"ph\":\"" << event.ph
               << "\",\"id\":\"" << id_hex << "\",\"pid\":1,\"tid\":"
               << rows[i].tid << ",\"ts\":" << event.ts_us
               << (event.ph == 'f' ? ",\"bp\":\"e\"}" : "}");
           break;
         default:
-          out << "{\"name\":\"" << json_escape(event.name)
+          out << "{\"name\":\"" << name
               << "\",\"cat\":\"phook\",\"ph\":\"X\",\"pid\":1,\"tid\":"
               << rows[i].tid << ",\"ts\":" << event.ts_us
               << ",\"dur\":" << event.dur_us << '}';

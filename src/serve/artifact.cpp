@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/binary_io.hpp"
+#include "core/model_registry.hpp"
 #include "serve/cascade.hpp"
 
 namespace phishinghook::serve {
@@ -144,34 +145,6 @@ std::unique_ptr<ml::Scorer> load_scorer_artifact_file(
   std::ifstream in(path, std::ios::binary);
   if (!in) throw NotFound("cannot open artifact: " + path.string());
   return load_scorer_artifact(in);
-}
-
-void save_artifact(std::ostream& out, const core::HistogramAdapter& adapter) {
-  save_scorer_artifact(out, adapter);
-}
-
-std::unique_ptr<core::HistogramAdapter> load_artifact(std::istream& in) {
-  std::unique_ptr<ml::Scorer> scorer = load_scorer_artifact(in);
-  if (dynamic_cast<core::HistogramAdapter*>(scorer.get()) == nullptr) {
-    throw ParseError("artifact family is not a histogram model (use "
-                     "load_scorer_artifact)");
-  }
-  return std::unique_ptr<core::HistogramAdapter>(
-      static_cast<core::HistogramAdapter*>(scorer.release()));
-}
-
-void save_artifact_file(const std::filesystem::path& path,
-                        const core::HistogramAdapter& adapter) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw NotFound("cannot open artifact for write: " + path.string());
-  save_artifact(out, adapter);
-}
-
-std::unique_ptr<core::HistogramAdapter> load_artifact_file(
-    const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw NotFound("cannot open artifact: " + path.string());
-  return load_artifact(in);
 }
 
 }  // namespace phishinghook::serve

@@ -29,7 +29,6 @@
 #include <memory>
 #include <string>
 
-#include "core/model_registry.hpp"
 #include "ml/scorer.hpp"
 
 namespace phishinghook::serve {
@@ -58,18 +57,6 @@ std::unique_ptr<ml::Scorer> load_scorer_artifact(std::istream& in);
 void save_scorer_artifact_file(const std::filesystem::path& path,
                                const ml::Scorer& scorer);
 std::unique_ptr<ml::Scorer> load_scorer_artifact_file(
-    const std::filesystem::path& path);
-
-/// Typed convenience for the histogram family (the pre-cascade API).
-/// load_artifact accepts version-1 artifacts and version-2 "hist"
-/// artifacts; a cascade artifact throws ParseError — use
-/// load_scorer_artifact for family-agnostic loading.
-void save_artifact(std::ostream& out, const core::HistogramAdapter& adapter);
-std::unique_ptr<core::HistogramAdapter> load_artifact(std::istream& in);
-
-void save_artifact_file(const std::filesystem::path& path,
-                        const core::HistogramAdapter& adapter);
-std::unique_ptr<core::HistogramAdapter> load_artifact_file(
     const std::filesystem::path& path);
 
 }  // namespace phishinghook::serve

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/hex.hpp"
+#include "obs/metrics.hpp"
 #include "serve/cascade.hpp"
 
 namespace phishinghook::serve {
@@ -47,7 +48,7 @@ std::string invalid_address_json(const JsonValue& entry,
     out += "null";
   }
   out += ",\"status\":\"invalid_address\",\"error\":\"";
-  net::json_escape_to(out, why);
+  obs::json_escape_to(out, why);
   out += "\"}";
   return out;
 }
@@ -58,7 +59,7 @@ void write_result(std::string& out, const ScoreResult& result) {
   out += "{\"address\":\"0x";
   common::hex_append(out, result.address.bytes());
   out += "\",\"status\":\"";
-  net::json_escape_to(out, to_string(result.status));
+  obs::json_escape_to(out, to_string(result.status));
   out += "\",\"probability\":";
   net::json_number_to(out, result.probability);
   out += result.flagged ? ",\"flagged\":true" : ",\"flagged\":false";
@@ -69,7 +70,7 @@ void write_result(std::string& out, const ScoreResult& result) {
   net::json_number_to(out, static_cast<double>(result.stage));
   if (!result.model.empty()) {
     out += ",\"model\":\"";
-    net::json_escape_to(out, result.model);
+    obs::json_escape_to(out, result.model);
     out += '"';
   }
   out += ",\"latency_us\":";
@@ -81,7 +82,7 @@ void write_result(std::string& out, const ScoreResult& result) {
   net::json_number_to(out, static_cast<double>(result.trace_id));
   if (!result.error.empty()) {
     out += ",\"error\":\"";
-    net::json_escape_to(out, result.error);
+    obs::json_escape_to(out, result.error);
     out += '"';
   }
   out += '}';

@@ -47,9 +47,13 @@ class InterpreterTest : public ::testing::Test {
     return a.build();
   }
 
-  BlockContext block_{.number = 18'500'000,
-                      .timestamp = 1700000000,
-                      .chain_id = 1};
+  BlockContext block_ = [] {
+    BlockContext block;
+    block.number = 18'500'000;
+    block.timestamp = 1700000000;
+    block.chain_id = 1;
+    return block;
+  }();
   State state_;
   Address caller_ = Address::from_hex("0x00000000000000000000000000000000000000aa");
   Address contract_ = Address::from_hex("0x00000000000000000000000000000000000000cc");

@@ -268,13 +268,17 @@ TEST(NetJson, EscapeMatchesTheByteLoopItReplaced) {
   std::string every_byte;
   for (int b = 0; b < 256; ++b) {
     const std::string one(1, static_cast<char>(b));
-    EXPECT_EQ(net::json_string_escape(one), reference(one)) << "byte " << b;
+    std::string escaped;
+    obs::json_escape_to(escaped, one);
+    EXPECT_EQ(escaped, reference(one)) << "byte " << b;
     every_byte += one;
     every_byte += "ab";
   }
-  EXPECT_EQ(net::json_string_escape(every_byte), reference(every_byte));
+  std::string escaped;
+  obs::json_escape_to(escaped, every_byte);
+  EXPECT_EQ(escaped, reference(every_byte));
   std::string appended = "kept:";
-  net::json_escape_to(appended, "say \"hi\"\n");
+  obs::json_escape_to(appended, "say \"hi\"\n");
   EXPECT_EQ(appended, "kept:say \\\"hi\\\"\\n");
 }
 
@@ -683,6 +687,50 @@ TEST_F(JsonRpcTest, KeepAliveServesSequentialRequests) {
   EXPECT_NE(second.find("\"id\":2"), std::string::npos) << second;
   EXPECT_NE(first.find("Connection: keep-alive"), std::string::npos);
   EXPECT_EQ(server_->connections_accepted(), 1u);
+}
+
+// The net_connections_* gauges are kept by the loop itself: they are
+// current without any /metrics scrape, and connections() reads them.
+TEST_F(JsonRpcTest, ConnectionGaugesTrackTheLoopWithoutAScrape) {
+  net::RpcConfig config;
+  config.max_connections = 2;
+  start(config);
+  obs::MetricsRegistry& metrics = server_->metrics_registry();
+  const auto gauge = [&](const char* name) {
+    return metrics.gauge(name).value();
+  };
+  const auto wait_until = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  // One at a time, so the third is the one over the cap.
+  std::vector<int> fds;
+  for (int i = 1; i <= 3; ++i) {
+    const int fd = connect_loopback(server_->port());
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    wait_until([&] {
+      return gauge("net_connections_accepted") +
+                 gauge("net_connections_rejected") >=
+             i;
+    });
+  }
+  EXPECT_EQ(gauge("net_connections_active"), 2.0);
+  EXPECT_EQ(gauge("net_connections_accepted"), 2.0);
+  EXPECT_EQ(gauge("net_connections_rejected"), 1.0);
+  EXPECT_EQ(server_->connections(), 2u);
+  EXPECT_EQ(server_->connections_accepted(), 2u);
+
+  ::close(fds[0]);
+  wait_until([&] { return gauge("net_connections_active") < 2.0; });
+  EXPECT_EQ(gauge("net_connections_active"), 1.0);
+  EXPECT_EQ(server_->connections(), 1u);
+  EXPECT_EQ(gauge("net_connections_accepted"), 2.0);
+  ::close(fds[1]);
+  ::close(fds[2]);
 }
 
 TEST_F(JsonRpcTest, HeldReplyIsCompletedByAnotherThread) {

@@ -30,6 +30,7 @@
 #include "common/binary_io.hpp"
 #include "common/timer.hpp"
 #include "core/bem.hpp"
+#include "core/model_registry.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/trace.hpp"
@@ -317,9 +318,11 @@ TEST(Artifact, RandomForestRoundTripIsBitIdentical) {
       fitted_adapter(std::make_unique<ml::RandomForestClassifier>(config));
 
   std::stringstream buffer;
-  serve::save_artifact(buffer, adapter);
-  const std::unique_ptr<core::HistogramAdapter> loaded =
-      serve::load_artifact(buffer);
+  serve::save_scorer_artifact(buffer, adapter);
+  const std::unique_ptr<ml::Scorer> scorer =
+      serve::load_scorer_artifact(buffer);
+  auto* loaded = dynamic_cast<core::HistogramAdapter*>(scorer.get());
+  ASSERT_NE(loaded, nullptr);
 
   EXPECT_EQ(loaded->name(), adapter.name());
   EXPECT_EQ(loaded->vocabulary().mnemonics(), adapter.vocabulary().mnemonics());
@@ -342,9 +345,11 @@ TEST(Artifact, LogisticRegressionRoundTripIsBitIdentical) {
       std::make_unique<ml::LogisticRegressionClassifier>(config));
 
   std::stringstream buffer;
-  serve::save_artifact(buffer, adapter);
-  const std::unique_ptr<core::HistogramAdapter> loaded =
-      serve::load_artifact(buffer);
+  serve::save_scorer_artifact(buffer, adapter);
+  const std::unique_ptr<ml::Scorer> scorer =
+      serve::load_scorer_artifact(buffer);
+  auto* loaded = dynamic_cast<core::HistogramAdapter*>(scorer.get());
+  ASSERT_NE(loaded, nullptr);
 
   std::vector<const evm::Bytecode*> codes = dataset_codes();
   const std::vector<double> expected = adapter.predict_proba(codes);
@@ -359,8 +364,8 @@ TEST(Artifact, FileRoundTrip) {
       std::make_unique<ml::LogisticRegressionClassifier>());
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() / "phook_test_artifact.phookmdl";
-  serve::save_artifact_file(path, adapter);
-  const auto loaded = serve::load_artifact_file(path);
+  serve::save_scorer_artifact_file(path, adapter);
+  const auto loaded = serve::load_scorer_artifact_file(path);
   EXPECT_EQ(loaded->name(), adapter.name());
   std::filesystem::remove(path);
 }
@@ -369,22 +374,22 @@ TEST(Artifact, RejectsBadMagicAndVersionAndTruncation) {
   core::HistogramAdapter adapter = fitted_adapter(
       std::make_unique<ml::LogisticRegressionClassifier>());
   std::stringstream good;
-  serve::save_artifact(good, adapter);
+  serve::save_scorer_artifact(good, adapter);
   const std::string bytes = good.str();
 
   {
     std::stringstream bad("XXXXXXXX" + bytes.substr(8));
-    EXPECT_THROW(serve::load_artifact(bad), ParseError);
+    EXPECT_THROW(serve::load_scorer_artifact(bad), ParseError);
   }
   {
     std::string versioned = bytes;
     versioned[8] = 99;  // version field follows the 8-byte magic
     std::stringstream bad(versioned);
-    EXPECT_THROW(serve::load_artifact(bad), ParseError);
+    EXPECT_THROW(serve::load_scorer_artifact(bad), ParseError);
   }
   {
     std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-    EXPECT_THROW(serve::load_artifact(truncated), ParseError);
+    EXPECT_THROW(serve::load_scorer_artifact(truncated), ParseError);
   }
 }
 
@@ -947,8 +952,8 @@ TEST_F(ScoringEngineTest, RpcFrontendServesMetricsAndHealthzOnItsPort) {
   const std::string health = http_get(frontend.port(), "/healthz");
   frontend.stop();
 
-  // The engine's pull metrics and the server's connection gauges are
-  // synced per scrape; the scrape itself is the second request.
+  // The engine's pull metrics are synced per scrape and the server's
+  // connection gauges by the loop; the scrape itself is the second request.
   for (const char* line :
        {"# TYPE serve_requests_completed counter", "serve_cache_hit_rate ",
         "net_requests_total 2", "net_connections_accepted 2"}) {
