@@ -16,8 +16,9 @@ namespace phishinghook::common {
 
 namespace {
 
-// Set inside worker threads of any pool: nested regions run inline so a
-// worker never blocks waiting for pool capacity it is itself occupying.
+// Set inside worker threads of any pool, and by run_regions_inline():
+// nested regions run inline so a worker never blocks waiting for pool
+// capacity it is itself occupying.
 thread_local bool t_in_worker = false;
 
 // Pool-wide instruments on the global registry. Only the queued path
@@ -188,13 +189,21 @@ void ThreadPool::set_global_threads(std::size_t threads) {
       threads == 0 ? configured_threads() : threads);
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  ThreadPool::global().parallel_for(n, fn);
-}
+void run_regions_inline() { t_in_worker = true; }
 
 void parallel_for_chunks(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (t_in_worker) {
+    if (n != 0) fn(0, n);
+    return;
+  }
   ThreadPool::global().parallel_for_chunks(n, fn);
+}
+
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+  });
 }
 
 }  // namespace phishinghook::common

@@ -14,7 +14,10 @@
 // a size-1 pool runs every region inline with zero synchronization, and
 // nested regions launched from inside a worker also run inline, so parallel
 // code may freely call parallel code (forest over trees -> tree over
-// features, hyper-search over trials -> CV over folds).
+// features, hyper-search over trials -> CV over folds). A thread that owns
+// its parallelism elsewhere (a serving-engine worker) marks itself with
+// run_regions_inline() and gets the same inline rule without touching the
+// pool at all.
 #pragma once
 
 #include <condition_variable>
@@ -92,14 +95,26 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Convenience wrappers over ThreadPool::global().
+/// Makes every parallel region the calling thread opens from now on run
+/// inline on it, as nested regions inside a pool worker do. For threads
+/// that are themselves the parallelism (the scoring engine's workers): their
+/// regions then take neither the global pool's lock nor any of its threads.
+void run_regions_inline();
+
+/// Convenience wrappers over ThreadPool::global(). On a pool worker or a
+/// run_regions_inline() thread they run the region inline without looking
+/// the global pool up.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 void parallel_for_chunks(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 
 template <typename T, typename Fn>
 std::vector<T> parallel_map(std::size_t n, Fn&& fn) {
-  return ThreadPool::global().parallel_map<T>(n, static_cast<Fn&&>(fn));
+  std::vector<T> out(n);
+  parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) out[i] = fn(i);
+  });
+  return out;
 }
 
 }  // namespace phishinghook::common

@@ -244,6 +244,10 @@ void ScoringEngine::shutdown() {
 }
 
 void ScoringEngine::worker_loop() {
+  // The workers are the serving path's parallelism: a region the detector
+  // opens inside score_batch runs on this worker instead of splitting one
+  // batch over the training pool and blocking on it.
+  common::run_regions_inline();
   for (;;) {
     std::vector<Request> batch = next_batch();
     if (batch.empty()) return;  // stopping and drained

@@ -9,7 +9,7 @@
 //   try_submit_many(addrs, on_done)
 //     -> probe, on the caller: stored code hash (try-lock) -> score cache?
 //          hit: on_done(row, result) right there, no queue, no wake
-//     -> miss / fault / busy chain lock: [bounded queue]
+//     -> miss / fault / busy try-read (miner writing): [bounded queue]
 //     -> worker: shed expired deadlines
 //     -> stored code + hash (retried) -> score cache?
 //          code another worker is scoring: handed to that worker
@@ -73,7 +73,11 @@
 // Thread-safety contract: the detector passed in must have a read-only,
 // concurrently callable score_batch (true for every fitted adapter —
 // vocabulary/encoder/tokenizer and model weights are immutable at
-// inference time — and for CascadeScorer over such stages).
+// inference time — and for CascadeScorer over such stages). The workers
+// are the only parallelism on the serving path: each runs the parallel
+// regions its score_batch opens (histogram transform, flat-tree walk,
+// cascade stages) inline (common::run_regions_inline), so one batch never
+// fans out into the training pool and never waits on it.
 #pragma once
 
 #include <condition_variable>
@@ -189,10 +193,11 @@ class ScoringEngine {
   /// stored code hash, read without waiting for the chain lock, then the
   /// score cache — and a hit completes there with `cache_hit`, a zero
   /// queue wait and a latency timed from entry. The other rows (misses,
-  /// fetch faults, a busy chain lock, empty code) are queued under one
-  /// lock, in order, while the queue has room (`max_queue`); the rest
-  /// complete at once with kShed ("queue full"; "scoring engine is
-  /// shutting down" if shutdown() began while the wave was probed). One
+  /// fetch faults, a busy read while the miner writes, empty code) are
+  /// queued under one lock, in order, while the queue has room
+  /// (`max_queue`); the rest complete at once with kShed ("queue full";
+  /// "scoring engine is shutting down" if shutdown() began while the wave
+  /// was probed). One
   /// worker is woken per `max_batch` queued rows, and never fewer than
   /// two, so a lone row waits for the faster of two wakes. A valid ctx (a
   /// causal lane begun upstream: follower, load generator, socket) is

@@ -5,8 +5,12 @@
 // producer (the miner thread) against concurrent readers: the follower
 // thread tailing new deployments plus every scoring-engine worker pulling
 // bytecode through the BEM. LiveChain is the ownership-and-locking shell
-// that makes that safe: one mutex serializes mine_next_block() against an
-// Explorer decorator whose entire virtual read path takes the same lock.
+// that makes that safe: one reader-writer lock, taken exclusively only by
+// mine_next_block() and shared by every read of an Explorer decorator
+// whose entire virtual read path goes through it. Readers never wait for
+// each other (the engine's submission probe, its workers and the follower
+// all read at once); a read waits only while a block is being mined, and
+// a ReadMode::kTry read reports busy only then.
 //
 // Decorator order mirrors production: chaos decorators
 // (chain::FaultInjectingExplorer) wrap the *synchronized* view, so
@@ -15,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
+#include <shared_mutex>
 
 #include "chain/chain_store.hpp"
 #include "chain/explorer.hpp"
@@ -27,16 +31,16 @@ class LiveChain {
  public:
   explicit LiveChain(synth::MinerConfig config = {});
 
-  /// Mines one block plus its deployments, serialized against all readers.
-  /// Returns the new head block.
+  /// Mines one block plus its deployments under the exclusive lock, so no
+  /// read sees a half-mined block. Returns the new head block.
   std::uint64_t mine_next_block();
 
   std::uint64_t head_block() const;
   synth::MinerStats miner_stats() const;
 
   /// Thread-safe explorer view over the chain (every read takes the chain
-  /// lock). Hand this to the ScoringEngine and the BlockFollower, or wrap
-  /// it in a FaultInjectingExplorer for chaos runs.
+  /// lock shared). Hand this to the ScoringEngine and the BlockFollower, or
+  /// wrap it in a FaultInjectingExplorer for chaos runs.
   const chain::Explorer& explorer() const { return synced_; }
 
   /// The raw chain + label write path, for quiesced inspection (tests,
@@ -46,28 +50,33 @@ class LiveChain {
   chain::Explorer& raw_explorer() { return explorer_; }
 
  private:
-  /// Locking decorator: each virtual read takes the chain mutex and
-  /// delegates, making reads atomic against the miner. crawl_after in
-  /// particular snapshots (records, head) under one lock hold — that
-  /// pairing is what makes the follower's ingest-lag number honest.
+  /// Locking decorator: each virtual read takes the chain lock shared and
+  /// delegates, making reads atomic against the miner while readers run
+  /// side by side (the reads are const walks of state only the miner
+  /// writes). crawl_after in particular snapshots (records, head) under
+  /// one lock hold — that pairing is what makes the follower's ingest-lag
+  /// number honest.
   class SyncedExplorer final : public chain::Explorer {
    public:
-    SyncedExplorer(const chain::Explorer& inner, std::mutex& mutex)
+    using Lock = std::shared_lock<std::shared_mutex>;
+
+    SyncedExplorer(const chain::Explorer& inner, std::shared_mutex& mutex)
         : chain::Explorer(inner.chain()), inner_(&inner), mutex_(&mutex) {}
 
     std::string eth_get_code(const evm::Address& address) const override {
-      std::lock_guard<std::mutex> lock(*mutex_);
+      Lock lock(*mutex_);
       return inner_->eth_get_code(address);
     }
     evm::Bytecode get_code(const evm::Address& address) const override {
-      std::lock_guard<std::mutex> lock(*mutex_);
+      Lock lock(*mutex_);
       return inner_->get_code(address);
     }
-    /// A try-read gives up at once while the miner holds the lock.
+    /// A try-read gives up at once only while the miner writes (holds the
+    /// lock exclusively); other readers never make it busy.
     std::optional<chain::StoredCode> stored_code(
         const evm::Address& address,
         chain::ReadMode mode = chain::ReadMode::kWait) const override {
-      std::unique_lock<std::mutex> lock(*mutex_, std::defer_lock);
+      Lock lock(*mutex_, std::defer_lock);
       if (mode == chain::ReadMode::kTry) {
         if (!lock.try_lock()) return std::nullopt;
       } else {
@@ -76,33 +85,33 @@ class LiveChain {
       return inner_->stored_code(address, mode);
     }
     chain::ContractFlag flag_of(const evm::Address& address) const override {
-      std::lock_guard<std::mutex> lock(*mutex_);
+      Lock lock(*mutex_);
       return inner_->flag_of(address);
     }
     std::vector<evm::Address> crawl(chain::Month from,
                                     chain::Month to) const override {
-      std::lock_guard<std::mutex> lock(*mutex_);
+      Lock lock(*mutex_);
       return inner_->crawl(from, to);
     }
     chain::ChainTail crawl_after(std::uint64_t after_block) const override {
-      std::lock_guard<std::mutex> lock(*mutex_);
+      Lock lock(*mutex_);
       return inner_->crawl_after(after_block);
     }
     std::uint64_t head_block() const override {
-      std::lock_guard<std::mutex> lock(*mutex_);
+      Lock lock(*mutex_);
       return inner_->head_block();
     }
     std::size_t flagged_count() const override {
-      std::lock_guard<std::mutex> lock(*mutex_);
+      Lock lock(*mutex_);
       return inner_->flagged_count();
     }
 
    private:
     const chain::Explorer* inner_;
-    std::mutex* mutex_;
+    std::shared_mutex* mutex_;
   };
 
-  mutable std::mutex mutex_;
+  mutable std::shared_mutex mutex_;
   chain::ChainStore chain_;
   chain::Explorer explorer_;
   synth::ChainMiner miner_;

@@ -234,7 +234,9 @@ TEST(RandomForest, ImportancesIdentifyInformativeFeature) {
   forest.fit(x, y);
   const auto importances = forest.feature_importances();
   for (std::size_t c = 0; c < 5; ++c) {
-    if (c != 2) EXPECT_GT(importances[2], importances[c]);
+    if (c != 2) {
+      EXPECT_GT(importances[2], importances[c]);
+    }
   }
 }
 

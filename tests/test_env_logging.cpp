@@ -59,7 +59,10 @@ TEST(Logging, LevelFiltering) {
 TEST(Timer, MeasuresElapsedTime) {
   Timer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i);
+  for (int i = 0; i < 100000; ++i) {
+    const double loaded = sink;
+    sink = loaded + static_cast<double>(i);
+  }
   const double first = timer.seconds();
   EXPECT_GE(first, 0.0);
   timer.restart();

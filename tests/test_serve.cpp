@@ -28,11 +28,13 @@
 
 #include "chain/chain_store.hpp"
 #include "common/binary_io.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/bem.hpp"
 #include "core/model_registry.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/random_forest.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/artifact.hpp"
 #include "serve/metrics.hpp"
@@ -181,6 +183,41 @@ class GatedScorer final : public ml::Scorer {
   std::condition_variable cv_;
   bool entered_ = false;
   bool open_ = false;
+};
+
+/// Scorer that opens a parallel_for_chunks region over its rows, as the
+/// histogram transform and the flat-tree walk do, and counts the chunks
+/// that ran on a thread other than the one that called score_batch.
+class RegionScorer final : public ml::Scorer {
+ public:
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex chunk_mutex;
+    std::vector<std::thread::id> chunk_threads;
+    common::parallel_for_chunks(
+        view.size(), [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            std::uint64_t sum = 0;
+            for (std::uint8_t byte : view[i].bytes()) sum += byte;
+            out[i].probability = static_cast<double>(sum % 1000) / 1000.0;
+          }
+          std::lock_guard<std::mutex> lock(chunk_mutex);
+          chunk_threads.push_back(std::this_thread::get_id());
+        });
+    for (const std::thread::id id : chunk_threads) {
+      ++chunks_;
+      if (id != caller) ++foreign_chunks_;
+    }
+  }
+  std::string name() const override { return "region-stub"; }
+
+  std::uint64_t chunks() const { return chunks_.load(); }
+  std::uint64_t foreign_chunks() const { return foreign_chunks_.load(); }
+
+ private:
+  std::atomic<std::uint64_t> chunks_{0};
+  std::atomic<std::uint64_t> foreign_chunks_{0};
 };
 
 /// Redeploys `next` at `target` right after the first submission probe of
@@ -838,6 +875,57 @@ TEST_F(ScoringEngineTest, WaveOfSixtyFourFillsExactlyTwoBatches) {
   // full batches and never an under-full one.
   EXPECT_EQ(engine.metrics().batches.value(), 2u);
   EXPECT_EQ(engine.metrics().batched_requests.value(), 64u);
+}
+
+// The engine's workers are the serving path's parallelism: a region the
+// scorer opens runs whole on the worker that called score_batch, and the
+// global pool sees no region, even when it has threads to spare. The
+// scores are the ones the same scorer gives when its region fans out.
+TEST_F(ScoringEngineTest, WorkersRunScorerRegionsInline) {
+  const std::size_t pool_threads = common::ThreadPool::global().size();
+  struct RestorePool {
+    std::size_t threads;
+    ~RestorePool() { common::ThreadPool::set_global_threads(threads); }
+  } restore{pool_threads};
+  common::ThreadPool::set_global_threads(4);
+  const obs::Counter regions =
+      obs::MetricsRegistry::global().counter("threadpool_regions_total");
+
+  RegionScorer scorer;
+  serve::EngineConfig config;
+  config.workers = 2;
+  const std::vector<evm::Address> wave(addresses_.begin(),
+                                       addresses_.begin() + 64);
+  std::optional<std::vector<serve::ScoreResult>> results;
+  const std::uint64_t regions_before = regions.value();
+  {
+    serve::ScoringEngine engine(*dataset().explorer, scorer, config);
+    results = submit_wave(engine, wave);
+  }
+  EXPECT_EQ(regions.value(), regions_before);
+  ASSERT_TRUE(results.has_value());
+  EXPECT_GT(scorer.chunks(), 0u);
+  EXPECT_EQ(scorer.foreign_chunks(), 0u);
+
+  // The same codes straight through the scorer on this thread: the region
+  // fans out over the 4-thread pool.
+  const core::BytecodeExtractionModule bem(*dataset().explorer);
+  std::vector<evm::Bytecode> codes;
+  for (const evm::Address& address : wave) {
+    codes.push_back(bem.extract(address).code);
+  }
+  std::vector<const evm::Bytecode*> views;
+  for (const evm::Bytecode& code : codes) views.push_back(&code);
+  std::vector<ml::ScoredRow> expected(views.size());
+  scorer.score_batch(ml::BytecodeBatchView(views), expected);
+  EXPECT_GT(regions.value(), regions_before);
+  EXPECT_GT(scorer.foreign_chunks(), 0u);
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    ASSERT_EQ((*results)[i].status, serve::ScoreStatus::kOk) << "row " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>((*results)[i].probability),
+              std::bit_cast<std::uint64_t>(expected[i].probability))
+        << "row " << i;
+  }
 }
 
 TEST_F(ScoringEngineTest, RpcScoreBatchOverLoopbackKeepsRequestOrder) {

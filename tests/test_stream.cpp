@@ -30,6 +30,7 @@
 #include "serve/scoring_engine.hpp"
 #include "stream/bounded_queue.hpp"
 #include "stream/coordinator.hpp"
+#include "stream/live_chain.hpp"
 #include "synth/dataset_builder.hpp"
 
 namespace phishinghook {
@@ -182,6 +183,77 @@ TEST(ChainMinerTest, SameSeedProducesIdenticalChainsAndLabels) {
   EXPECT_EQ(stats_a.clone_deployments, stats_b.clone_deployments);
   EXPECT_EQ(stats_a.deployments,
             stats_a.phishing_deployments + stats_a.benign_deployments);
+}
+
+// Readers share the chain lock and only the miner takes it exclusively.
+// Four readers run every read shape in a loop while one thread mines 50
+// blocks: each read is consistent (a code's hash belongs to its bytes, a
+// crawl never returns a record past the head it reports), and readers that
+// never wait for each other do not starve the miner (glibc's rwlock
+// prefers readers).
+TEST(LiveChainTest, SharedReadersStayConsistentWhileTheMinerWrites) {
+  stream::LiveChain live;
+  while (live.raw_chain().contracts().size() < 8) live.mine_next_block();
+  const std::uint64_t blocks_before = live.miner_stats().blocks_mined;
+  const chain::Explorer& explorer = live.explorer();
+
+  constexpr std::uint64_t kBlocks = 50;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  std::atomic<bool> mined{false};
+  std::atomic<bool> timed_out{false};
+  std::atomic<std::uint64_t> code_reads{0};
+  std::atomic<std::uint64_t> bad_reads{0};
+  std::atomic<std::uint64_t> bad_tails{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      std::uint64_t cursor = 0;
+      std::vector<evm::Address> seen;
+      for (std::uint64_t turn = 0; !mined.load(); ++turn) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out.store(true);
+          return;
+        }
+        const chain::ChainTail tail = explorer.crawl_after(cursor);
+        for (const chain::ContractRecord& record : tail.records) {
+          if (record.block_number <= cursor ||
+              record.block_number > tail.head_block) {
+            bad_tails.fetch_add(1);
+          }
+          seen.push_back(record.address);
+        }
+        if (!tail.records.empty()) {
+          cursor = tail.records.back().block_number;
+        }
+        const evm::Address& address = seen[(turn * 4 + r) % seen.size()];
+        const chain::ReadMode mode =
+            turn % 2 == 0 ? chain::ReadMode::kWait : chain::ReadMode::kTry;
+        const std::optional<chain::StoredCode> stored =
+            explorer.stored_code(address, mode);
+        if (mode == chain::ReadMode::kWait && !stored) bad_reads.fetch_add(1);
+        if (stored) {
+          code_reads.fetch_add(1);
+          if (stored->hash != stored->code->code_hash()) {
+            bad_reads.fetch_add(1);
+          }
+        }
+        (void)explorer.flag_of(address);
+      }
+    });
+  }
+  std::thread miner([&] {
+    for (std::uint64_t b = 0; b < kBlocks; ++b) live.mine_next_block();
+    mined.store(true);
+  });
+  miner.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_FALSE(timed_out.load()) << "the miner was starved by readers";
+  EXPECT_EQ(live.miner_stats().blocks_mined, blocks_before + kBlocks);
+  EXPECT_GT(code_reads.load(), 0u);
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_EQ(bad_tails.load(), 0u);
 }
 
 // ---------------------------------------------------------------- queue
