@@ -33,8 +33,8 @@
 # test_net, hammering the event loop and its cross-thread replies with
 # concurrent clients.
 #
-#   ./ci.sh            # all four legs: release (with the benches and
-#                      # smokes), asan, tsan, nosimd
+#   ./ci.sh            # all four legs: release (-Werror, with the benches
+#                      # and smokes), asan, tsan, nosimd
 #
 # Build trees live under build-ci-* so they never collide with a developer's
 # ./build. Any failure aborts the script (set -e) and leaves the offending
@@ -51,9 +51,10 @@ command -v python3 >/dev/null 2>&1 ||
 run_variant() {
   local name="$1" sanitize="$2" ctest_args="${3:-}"
   local dir="build-ci-${name}"
+  # Any further arguments go to cmake as-is (the release leg's -Werror).
   echo "=== ${name}: configure ==="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPHISHINGHOOK_SANITIZE="${sanitize}" >/dev/null
+        -DPHISHINGHOOK_SANITIZE="${sanitize}" "${@:4}" >/dev/null
   echo "=== ${name}: build ==="
   cmake --build "${dir}" -j "${JOBS}"
   echo "=== ${name}: ctest ==="
@@ -628,7 +629,9 @@ print(f"rpc smoke ok: scored {addr} "
 PY
 }
 
-run_variant release ""
+# The release leg treats warnings as errors, so a new warning fails CI
+# instead of scrolling past.
+run_variant release "" "" -DCMAKE_CXX_FLAGS=-Werror
 (cd build-ci-release && ./bench/bench_train_parallel)
 check_bench_json build-ci-release/BENCH_train.json
 (cd build-ci-release && ./bench/bench_extract --smoke)

@@ -2,9 +2,8 @@
 //
 // The benches and examples narrate long-running experiments through this;
 // level is process-global and settable via the PHISHINGHOOK_LOG env var
-// (debug|info|warn|error, default info; legacy alias PHOOK_LOG — when both
-// are set the PHISHINGHOOK_ prefix wins). Setting PHISHINGHOOK_LOG_FORMAT
-// (or PHOOK_LOG_FORMAT) to `json` switches every line to one JSON object:
+// (debug|info|warn|error, default info). Setting PHISHINGHOOK_LOG_FORMAT
+// to `json` switches every line to one JSON object:
 //
 //   {"ts":"2026-08-06T12:00:00.123Z","level":"info","thread":1,
 //    "event":"synth.build","rows":12000,"phishing":3000}
@@ -25,15 +24,15 @@ namespace phishinghook::common {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 enum class LogFormat { kText = 0, kJson = 1 };
 
-/// Current process-wide level (initialized from PHISHINGHOOK_LOG /
-/// PHOOK_LOG on first use).
+/// Current process-wide level (initialized from PHISHINGHOOK_LOG on first
+/// use).
 LogLevel log_level();
 
 /// Overrides the process-wide level.
 void set_log_level(LogLevel level);
 
-/// Current output format (initialized from PHISHINGHOOK_LOG_FORMAT /
-/// PHOOK_LOG_FORMAT on first use; anything other than "json" is text).
+/// Current output format (initialized from PHISHINGHOOK_LOG_FORMAT on
+/// first use; anything other than "json" is text).
 LogFormat log_format();
 
 /// Overrides the process-wide format.

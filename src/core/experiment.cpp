@@ -118,7 +118,8 @@ ModelEvaluation ExperimentHarness::evaluate(
         const double train_seconds = train_timer.seconds();
 
         common::Timer inference_timer;
-        const std::vector<int> predictions = model->predict(test_codes);
+        const std::vector<int> predictions =
+            ml::threshold_predictions(model->score_probabilities(test_codes));
         const double inference_seconds = inference_timer.seconds();
 
         fit_ms.record(train_seconds * 1e3);
@@ -165,7 +166,9 @@ std::vector<ml::Metrics> ExperimentHarness::evaluate_temporal(
       out.push_back(ml::Metrics{});
       continue;
     }
-    out.push_back(ml::compute_metrics(test_labels, model->predict(test_codes)));
+    out.push_back(ml::compute_metrics(
+        test_labels,
+        ml::threshold_predictions(model->score_probabilities(test_codes))));
   }
   return out;
 }

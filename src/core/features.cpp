@@ -214,7 +214,7 @@ std::vector<double> HistogramVocabulary::transform_legacy(
 }
 
 ml::Matrix HistogramVocabulary::transform_all(
-    const std::vector<const Bytecode*>& corpus) const {
+    ml::BytecodeBatchView corpus) const {
   obs::ScopedSpan span("features.transform_all");
   common::ScopedTimer timer([](double seconds) {
     feature_instruments().transform_all_us.record(seconds * 1e6);

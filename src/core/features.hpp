@@ -37,6 +37,7 @@
 #include "ml/matrix.hpp"
 #include "ml/models/sequence_model.hpp"
 #include "ml/nn/tensor.hpp"
+#include "ml/scorer.hpp"
 
 namespace phishinghook::core {
 
@@ -101,7 +102,7 @@ class HistogramVocabulary {
   /// Histogram matrix for a corpus; rows are independent and processed in
   /// parallel on the common::ThreadPool (bit-identical at every thread
   /// count — each row is written by exactly one task).
-  ml::Matrix transform_all(const std::vector<const Bytecode*>& corpus) const;
+  ml::Matrix transform_all(ml::BytecodeBatchView corpus) const;
 
   const std::vector<std::string>& mnemonics() const { return mnemonics_; }
   std::size_t size() const { return mnemonics_.size(); }

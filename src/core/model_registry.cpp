@@ -27,26 +27,33 @@ std::string_view category_label(ModelCategory category) {
   return "?";
 }
 
-// --- PhishingClassifier (ml::Scorer default) --------------------------------
+// --- PhishingClassifier ----------------------------------------------------
 
-void PhishingClassifier::score_batch(const ml::BytecodeBatchView& view,
-                                     std::span<ml::ScoredRow> out) {
+void PhishingClassifier::check_out_size(ml::BytecodeBatchView view,
+                                        std::span<const ml::ScoredRow> out) {
   if (out.size() != view.size()) {
     throw InvalidArgument("score_batch: out span size " +
                           std::to_string(out.size()) + " != view size " +
                           std::to_string(view.size()));
   }
-  if (view.empty()) return;
-  const std::vector<double> probabilities = predict_proba(view.to_vector());
-  if (probabilities.size() != view.size()) {
-    throw StateError(name() + " predict_proba returned " +
+}
+
+namespace {
+
+/// Writes the inner model's per-code probabilities as stage-0 rows.
+void write_rows(const std::vector<double>& probabilities,
+                std::span<ml::ScoredRow> out) {
+  if (probabilities.size() != out.size()) {
+    throw StateError("inner model returned " +
                      std::to_string(probabilities.size()) + " rows for " +
-                     std::to_string(view.size()) + " codes");
+                     std::to_string(out.size()) + " codes");
   }
-  for (std::size_t i = 0; i < view.size(); ++i) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = ml::ScoredRow{probabilities[i], /*stage=*/0, /*degraded=*/false};
   }
 }
+
+}  // namespace
 
 // --- HistogramAdapter -------------------------------------------------------
 
@@ -68,10 +75,12 @@ void HistogramAdapter::fit(const std::vector<const Bytecode*>& codes,
   model_->fit(vocabulary_.transform_all(codes), labels);
 }
 
-std::vector<double> HistogramAdapter::predict_proba(
-    const std::vector<const Bytecode*>& codes) {
+void HistogramAdapter::score_batch(const ml::BytecodeBatchView& view,
+                                   std::span<ml::ScoredRow> out) {
+  check_out_size(view, out);
+  if (view.empty()) return;
   obs::ScopedSpan span("model.predict", name_.c_str());
-  return model_->predict_proba(vocabulary_.transform_all(codes));
+  write_rows(model_->predict_proba(vocabulary_.transform_all(view)), out);
 }
 
 // --- VisionAdapter -----------------------------------------------------------
@@ -85,7 +94,7 @@ VisionAdapter::VisionAdapter(
       side_(side) {}
 
 std::vector<ml::nn::Tensor> VisionAdapter::encode(
-    const std::vector<const Bytecode*>& codes) const {
+    ml::BytecodeBatchView codes) const {
   std::vector<ml::nn::Tensor> out;
   out.reserve(codes.size());
   for (const Bytecode* code : codes) {
@@ -103,10 +112,12 @@ void VisionAdapter::fit(const std::vector<const Bytecode*>& codes,
   model_->fit(encode(codes), labels);
 }
 
-std::vector<double> VisionAdapter::predict_proba(
-    const std::vector<const Bytecode*>& codes) {
+void VisionAdapter::score_batch(const ml::BytecodeBatchView& view,
+                                std::span<ml::ScoredRow> out) {
+  check_out_size(view, out);
+  if (view.empty()) return;
   obs::ScopedSpan span("model.predict", name_.c_str());
-  return model_->predict_proba(encode(codes));
+  write_rows(model_->predict_proba(encode(view)), out);
 }
 
 // --- SequenceAdapter -----------------------------------------------------------
@@ -122,7 +133,7 @@ SequenceAdapter::SequenceAdapter(
       ngram_tokenizer_(ngram_vocab) {}
 
 std::vector<TokenSequence> SequenceAdapter::tokenize(
-    const std::vector<const Bytecode*>& codes) const {
+    ml::BytecodeBatchView codes) const {
   std::vector<TokenSequence> out;
   out.reserve(codes.size());
   for (const Bytecode* code : codes) {
@@ -140,10 +151,12 @@ void SequenceAdapter::fit(const std::vector<const Bytecode*>& codes,
   model_->fit(tokenize(codes), labels);
 }
 
-std::vector<double> SequenceAdapter::predict_proba(
-    const std::vector<const Bytecode*>& codes) {
+void SequenceAdapter::score_batch(const ml::BytecodeBatchView& view,
+                                  std::span<ml::ScoredRow> out) {
+  check_out_size(view, out);
+  if (view.empty()) return;
   obs::ScopedSpan span("model.predict", name_.c_str());
-  return model_->predict_proba(tokenize(codes));
+  write_rows(model_->predict_proba(tokenize(view)), out);
 }
 
 // --- registry ---------------------------------------------------------------------

@@ -1,8 +1,10 @@
 // Model registry: the 16 evaluated detectors behind one interface.
 //
-// A `PhishingClassifier` consumes raw deployed bytecodes; each adapter owns
-// its feature pipeline (histogram vocabulary, image encoder, tokenizer) and
-// fits it on the training split only, exactly as the MEM requires.
+// A `PhishingClassifier` is an ml::Scorer that can also be fitted: it
+// consumes raw deployed bytecodes, and each adapter owns its feature
+// pipeline (histogram vocabulary, image encoder, tokenizer), fits it on
+// the training split only, exactly as the MEM requires, and scores
+// through ml::Scorer::score_batch like every other detector.
 //
 // Categories follow Table II's markers: Histogram (†), Vision (‡),
 // Language (*), Vulnerability (§).
@@ -26,27 +28,22 @@ enum class ModelCategory { kHistogram, kVision, kLanguage, kVulnerability };
 
 std::string_view category_label(ModelCategory category);
 
-/// A fit-capable detector over raw bytecodes. Every adapter is also an
-/// ml::Scorer, so a fitted classifier plugs straight into the serving
-/// path (ScoringEngine, CascadeScorer) with no further wrapping: the
-/// default score_batch routes through predict_proba and attributes every
-/// row to stage 0.
+/// A fit-capable detector over raw bytecodes. It adds training and a
+/// Table II category to ml::Scorer and no scoring function of its own, so
+/// a fitted classifier plugs straight into the serving path
+/// (ScoringEngine, CascadeScorer) with no further wrapping. Every adapter
+/// scores single-stage: each row comes back as {p, stage 0, not degraded}.
 class PhishingClassifier : public ml::Scorer {
  public:
   virtual void fit(const std::vector<const Bytecode*>& codes,
                    const std::vector<int>& labels) = 0;
-  virtual std::vector<double> predict_proba(
-      const std::vector<const Bytecode*>& codes) = 0;
-  std::vector<int> predict(const std::vector<const Bytecode*>& codes) {
-    return ml::threshold_predictions(predict_proba(codes));
-  }
 
   virtual ModelCategory category() const = 0;
 
-  /// ml::Scorer: single-stage scoring via predict_proba. Throws
-  /// InvalidArgument when out.size() != view.size().
-  void score_batch(const ml::BytecodeBatchView& view,
-                   std::span<ml::ScoredRow> out) override;
+ protected:
+  /// Throws InvalidArgument unless `out` holds one row per code in `view`.
+  static void check_out_size(ml::BytecodeBatchView view,
+                             std::span<const ml::ScoredRow> out);
 };
 
 /// Histogram (HSC) adapter: vocabulary + a tabular classifier.
@@ -62,8 +59,8 @@ class HistogramAdapter final : public PhishingClassifier {
 
   void fit(const std::vector<const Bytecode*>& codes,
            const std::vector<int>& labels) override;
-  std::vector<double> predict_proba(
-      const std::vector<const Bytecode*>& codes) override;
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override;
   std::string name() const override { return name_; }
   ModelCategory category() const override { return ModelCategory::kHistogram; }
 
@@ -92,14 +89,13 @@ class VisionAdapter final : public PhishingClassifier {
 
   void fit(const std::vector<const Bytecode*>& codes,
            const std::vector<int>& labels) override;
-  std::vector<double> predict_proba(
-      const std::vector<const Bytecode*>& codes) override;
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override;
   std::string name() const override { return name_; }
   ModelCategory category() const override { return ModelCategory::kVision; }
 
  private:
-  std::vector<ml::nn::Tensor> encode(
-      const std::vector<const Bytecode*>& codes) const;
+  std::vector<ml::nn::Tensor> encode(ml::BytecodeBatchView codes) const;
 
   std::unique_ptr<ml::models::ImageClassifierModel> model_;
   std::string name_;
@@ -119,14 +115,13 @@ class SequenceAdapter final : public PhishingClassifier {
 
   void fit(const std::vector<const Bytecode*>& codes,
            const std::vector<int>& labels) override;
-  std::vector<double> predict_proba(
-      const std::vector<const Bytecode*>& codes) override;
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override;
   std::string name() const override { return name_; }
   ModelCategory category() const override { return category_; }
 
  private:
-  std::vector<TokenSequence> tokenize(
-      const std::vector<const Bytecode*>& codes) const;
+  std::vector<TokenSequence> tokenize(ml::BytecodeBatchView codes) const;
 
   std::unique_ptr<ml::models::SequenceClassifierModel> model_;
   std::string name_;

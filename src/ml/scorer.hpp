@@ -1,15 +1,19 @@
-// Model-agnostic scoring interface: every detector family — the tabular
-// HSCs behind a histogram vocabulary, the vision models behind an image
-// encoder, the sequence/language models behind a tokenizer — scores a
-// batch of raw deployed bytecodes through the same contract:
+// The one scoring interface: every detector family — the tabular HSCs
+// behind a histogram vocabulary, the vision models behind an image
+// encoder, the sequence/language models behind a tokenizer — and every
+// composite of them scores a batch of raw deployed bytecodes through
 //
 //   score_batch(view, out)   // out[i] = P(phishing) + which stage scored it
+//
+// Serving (ScoringEngine's batch loop, RpcFrontend) and the offline
+// experiments (the Table II harness, the benches, the examples) call the
+// same function; callers that only want probabilities use
+// score_probabilities(), and labels are threshold_predictions() of those.
 //
 // Feature extraction is the implementer's job (the per-model hook): a
 // Scorer owns whatever pipeline turns bytecode into model input, exactly
 // as the paper's MEM demands (fit on the training split only). This is
-// what lets the serving path — ScoringEngine's batch loop, the artifact
-// save/load path, RpcFrontend — stay ignorant of model families, and what
+// what lets the serving path stay ignorant of model families, and what
 // makes composite scorers (the cost-aware cascade, A/B splits, shadow
 // scoring) expressible as just another Scorer.
 //
@@ -36,33 +40,10 @@ namespace phishinghook::ml {
 
 class FlatTreeEnsemble;  // flat_tree.hpp
 
-/// Borrowed, non-owning view over a batch of deployed bytecodes (the
-/// pointer array idiom every adapter already consumes). The codes must
-/// outlive the score_batch call; nothing is copied.
-class BytecodeBatchView {
- public:
-  BytecodeBatchView() = default;
-  BytecodeBatchView(const evm::Bytecode* const* codes, std::size_t count)
-      : codes_(codes), count_(count) {}
-  /// View over an existing pointer batch (no copy).
-  explicit BytecodeBatchView(const std::vector<const evm::Bytecode*>& codes)
-      : codes_(codes.data()), count_(codes.size()) {}
-
-  const evm::Bytecode* const* data() const { return codes_; }
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  const evm::Bytecode& operator[](std::size_t i) const { return *codes_[i]; }
-
-  /// Materializes the pointer vector the legacy predict_proba interfaces
-  /// take (pointers only — the bytecodes themselves are not copied).
-  std::vector<const evm::Bytecode*> to_vector() const {
-    return std::vector<const evm::Bytecode*>(codes_, codes_ + count_);
-  }
-
- private:
-  const evm::Bytecode* const* codes_ = nullptr;
-  std::size_t count_ = 0;
-};
+/// Borrowed, non-owning view over a batch of deployed bytecodes. The
+/// codes must outlive the score_batch call; nothing is copied, and a
+/// `std::vector<const evm::Bytecode*>` converts implicitly.
+using BytecodeBatchView = std::span<const evm::Bytecode* const>;
 
 /// Per-row outcome of a Scorer invocation.
 struct ScoredRow {

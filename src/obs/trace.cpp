@@ -46,7 +46,6 @@ Tracer& Tracer::global() {
   static Tracer* tracer = [] {
     auto* t = new Tracer();  // leaked: at-exit flush still needs it
     const char* path = std::getenv("PHISHINGHOOK_TRACE");
-    if (path == nullptr || *path == '\0') path = std::getenv("PHOOK_TRACE");
     if (path != nullptr && *path != '\0') {
       trace_path_storage() = path;
       t->enable();

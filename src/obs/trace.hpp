@@ -20,10 +20,10 @@
 // tracing can stay on in production; when a ring wraps, the oldest events
 // are dropped and counted, never corrupted.
 //
-// Gating: set PHISHINGHOOK_TRACE=out.json (legacy alias PHOOK_TRACE; the
-// new prefix wins) to enable the global tracer at startup and flush the
-// trace to `out.json` at process exit — openable in chrome://tracing or
-// https://ui.perfetto.dev. Or call enable()/write_to_file() directly.
+// Gating: set PHISHINGHOOK_TRACE=out.json to enable the global tracer at
+// startup and flush the trace to `out.json` at process exit — openable in
+// chrome://tracing or https://ui.perfetto.dev. Or call
+// enable()/write_to_file() directly.
 //
 // Concurrency contract: spans may close on any number of threads
 // concurrently. enable()/clear() and the export walk must not overlap
@@ -52,9 +52,8 @@ class Tracer {
   static constexpr std::size_t kDefaultRingCapacity = 16384;  ///< events/thread
   static constexpr std::size_t kMaxNameLength = 47;
 
-  /// Process-wide tracer; reads PHISHINGHOOK_TRACE / PHOOK_TRACE on first
-  /// use and, when set, enables itself and registers an at-exit flush to
-  /// that path.
+  /// Process-wide tracer; reads PHISHINGHOOK_TRACE on first use and, when
+  /// set, enables itself and registers an at-exit flush to that path.
   static Tracer& global();
 
   bool enabled() const { return enabled_.load(std::memory_order_acquire); }

@@ -1,24 +1,12 @@
 #include "serve/cascade.hpp"
 
-#include <chrono>
 #include <cmath>
 
 #include "common/errors.hpp"
+#include "common/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace phishinghook::serve {
-
-namespace {
-
-/// Monotonic nanoseconds for the per-stage timing accumulators.
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 CascadeScorer::CascadeScorer(std::vector<std::unique_ptr<ml::Scorer>> stages,
                              CascadeConfig config)
@@ -40,7 +28,7 @@ CascadeScorer::CascadeScorer(std::vector<std::unique_ptr<ml::Scorer>> stages,
                           ", " + std::to_string(config_.hi) +
                           "] outside [0, 1]");
   }
-  state_ = std::make_unique<StageState[]>(stages_.size());
+  metrics_ = register_on(*registry_);
 }
 
 std::string CascadeScorer::name() const {
@@ -70,14 +58,11 @@ void CascadeScorer::score_batch(const ml::BytecodeBatchView& view,
   // earlier probability to degrade to.
   {
     obs::ScopedSpan span("cascade.stage", stages_[0]->name().c_str());
-    const std::uint64_t start = now_ns();
+    const common::Timer timer;
     stages_[0]->score_batch(view, out);
-    const std::uint64_t elapsed = now_ns() - start;
-    StageState& st = state_[0];
-    st.rows.fetch_add(view.size(), std::memory_order_relaxed);
-    st.time_ns.fetch_add(elapsed, std::memory_order_relaxed);
-    st.rows_counter.inc(view.size());
-    if (st.stage_us) st.stage_us->record(static_cast<double>(elapsed) * 1e-3);
+    StageInstruments& st = metrics_.stages[0];
+    st.stage_us->record(timer.seconds() * 1e6);
+    st.rows.inc(view.size());
   }
   for (std::size_t i = 0; i < view.size(); ++i) {
     // Whatever a nested scorer reported, rows leaving stage 0 of *this*
@@ -100,38 +85,30 @@ void CascadeScorer::score_batch(const ml::BytecodeBatchView& view,
   for (std::size_t s = 1; s < stages_.size() && !uncertain.empty(); ++s) {
     sub_codes.clear();
     sub_codes.reserve(uncertain.size());
-    for (std::size_t idx : uncertain) sub_codes.push_back(view.data()[idx]);
+    for (std::size_t idx : uncertain) sub_codes.push_back(view[idx]);
     sub_rows.assign(uncertain.size(), ml::ScoredRow{});
 
-    StageState& st = state_[s];
-    st.escalations.fetch_add(uncertain.size(), std::memory_order_relaxed);
-    st.escalations_counter.inc(uncertain.size());
+    StageInstruments& st = metrics_.stages[s];
+    st.escalations.inc(uncertain.size());
 
-    const std::uint64_t start = now_ns();
+    const common::Timer timer;
     bool scored = false;
     try {
       obs::ScopedSpan span("cascade.stage", stages_[s]->name().c_str());
-      stages_[s]->score_batch(
-          ml::BytecodeBatchView(sub_codes.data(), sub_codes.size()),
-          sub_rows);
+      stages_[s]->score_batch(sub_codes, sub_rows);
       scored = true;
     } catch (...) {
       // Heavy-stage fault: the escalated rows keep the probability the
       // last healthy stage gave them, flagged degraded so the caller can
       // tell a refined score from a fallback (and skip caching it).
-      st.faults.fetch_add(1, std::memory_order_relaxed);
-      st.faults_counter.inc();
-      degraded_.fetch_add(uncertain.size(), std::memory_order_relaxed);
-      degraded_counter_.inc(uncertain.size());
+      st.faults.inc();
+      metrics_.degraded.inc(uncertain.size());
       for (std::size_t idx : uncertain) out[idx].degraded = true;
     }
-    const std::uint64_t elapsed = now_ns() - start;
-    st.time_ns.fetch_add(elapsed, std::memory_order_relaxed);
-    if (st.stage_us) st.stage_us->record(static_cast<double>(elapsed) * 1e-3);
+    st.stage_us->record(timer.seconds() * 1e6);
     if (!scored) return;  // deeper stages have nothing healthy to refine
 
-    st.rows.fetch_add(uncertain.size(), std::memory_order_relaxed);
-    st.rows_counter.inc(uncertain.size());
+    st.rows.inc(uncertain.size());
     std::vector<std::size_t> still_uncertain;
     for (std::size_t u = 0; u < uncertain.size(); ++u) {
       const std::size_t idx = uncertain[u];
@@ -146,7 +123,8 @@ void CascadeScorer::score_batch(const ml::BytecodeBatchView& view,
   }
 }
 
-void CascadeScorer::bind_metrics(obs::MetricsRegistry& registry) {
+CascadeScorer::Instruments CascadeScorer::register_on(
+    obs::MetricsRegistry& registry) const {
   registry.set_help("serve_cascade_stage_rows",
                     "Rows scored by each cascade stage");
   registry.set_help("serve_cascade_escalations",
@@ -160,19 +138,37 @@ void CascadeScorer::bind_metrics(obs::MetricsRegistry& registry) {
                     "Wall time per cascade-stage invocation");
   registry.set_help("serve_cascade_escalation_rate",
                     "Fraction of rows escalated past stage 0");
+  Instruments out;
+  out.stages.reserve(stages_.size());
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     const std::string labels =
         obs::label("stage", std::to_string(s)) + "," +
         obs::label("model", stages_[s]->name());
-    StageState& st = state_[s];
-    st.rows_counter = registry.counter("serve_cascade_stage_rows", labels);
-    st.escalations_counter =
-        registry.counter("serve_cascade_escalations", labels);
-    st.faults_counter =
-        registry.counter("serve_cascade_stage_faults", labels);
-    st.stage_us = &registry.histogram("serve_cascade_stage_us", labels);
+    out.stages.push_back(StageInstruments{
+        registry.counter("serve_cascade_stage_rows", labels),
+        registry.counter("serve_cascade_escalations", labels),
+        registry.counter("serve_cascade_stage_faults", labels),
+        &registry.histogram("serve_cascade_stage_us", labels)});
   }
-  degraded_counter_ = registry.counter("serve_cascade_degraded_rows");
+  out.degraded = registry.counter("serve_cascade_degraded_rows");
+  return out;
+}
+
+void CascadeScorer::bind_metrics(obs::MetricsRegistry& registry) {
+  // Re-binding to the same registry would add the counts to themselves.
+  if (&registry != registry_) {
+    Instruments bound = register_on(registry);
+    for (std::size_t s = 0; s < stages_.size(); ++s) {
+      const StageInstruments& from = metrics_.stages[s];
+      StageInstruments& to = bound.stages[s];
+      to.rows.inc(from.rows.value());
+      to.escalations.inc(from.escalations.value());
+      to.faults.inc(from.faults.value());
+    }
+    bound.degraded.inc(metrics_.degraded.value());
+    metrics_ = std::move(bound);
+    registry_ = &registry;
+  }
   // Nested composite stages get their instruments on the same registry.
   for (const std::unique_ptr<ml::Scorer>& stage : stages_) {
     stage->bind_metrics(registry);
@@ -191,21 +187,16 @@ CascadeStats CascadeScorer::stats() const {
   CascadeStats out;
   out.stages.reserve(stages_.size());
   for (std::size_t s = 0; s < stages_.size(); ++s) {
-    const StageState& st = state_[s];
-    CascadeStageStats row;
-    row.model = stages_[s]->name();
-    row.rows = st.rows.load(std::memory_order_relaxed);
-    row.escalations = st.escalations.load(std::memory_order_relaxed);
-    row.faults = st.faults.load(std::memory_order_relaxed);
-    row.total_us =
-        static_cast<double>(st.time_ns.load(std::memory_order_relaxed)) * 1e-3;
-    out.stages.push_back(std::move(row));
+    const StageInstruments& st = metrics_.stages[s];
+    out.stages.push_back(CascadeStageStats{stages_[s]->name(), st.rows.value(),
+                                           st.escalations.value(),
+                                           st.faults.value()});
   }
   out.rows_total = out.stages.front().rows;
   // "Escalated" means left stage 0 — rows entering stage 1. Deeper hops
   // are visible per stage but would double-count rows here.
   if (out.stages.size() > 1) out.escalations_total = out.stages[1].escalations;
-  out.degraded_total = degraded_.load(std::memory_order_relaxed);
+  out.degraded_total = metrics_.degraded.value();
   return out;
 }
 

@@ -28,7 +28,6 @@
 // an exception, because then there is no probability to fall back to.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -57,7 +56,6 @@ struct CascadeStageStats {
   std::uint64_t rows = 0;       ///< rows this stage scored
   std::uint64_t escalations = 0;  ///< rows handed *into* this stage (0 for stage 0)
   std::uint64_t faults = 0;     ///< score_batch invocations that threw
-  double total_us = 0.0;        ///< wall time spent inside this stage
 };
 
 struct CascadeStats {
@@ -97,12 +95,15 @@ class CascadeScorer final : public ml::Scorer {
     return stages_.front()->flat_ensemble();
   }
 
-  /// Registers the hot-path instruments on `registry`:
+  /// Moves the hot-path instruments from the cascade's private registry
+  /// onto `registry`, carrying every count over:
   ///   serve_cascade_stage_rows{stage,model}      rows scored per stage
   ///   serve_cascade_escalations{stage,model}     rows escalated into stage
   ///   serve_cascade_stage_faults{stage,model}    throwing invocations
   ///   serve_cascade_degraded_rows                fallback-scored rows
   ///   serve_cascade_stage_us{stage,model}        per-invocation stage time
+  /// Stage-time samples taken before the bind stay behind. Must not race
+  /// score_batch (the engine binds before its workers start).
   void bind_metrics(obs::MetricsRegistry& registry) override;
 
   /// Publishes the serve_cascade_escalation_rate gauge (pre-scrape hook).
@@ -114,27 +115,33 @@ class CascadeScorer final : public ml::Scorer {
     return *stages_.at(index);
   }
 
+  /// Reads the counters, wherever they are registered.
   CascadeStats stats() const;
 
  private:
-  /// Per-stage hot-path state: internal relaxed atomics (always live, so
-  /// stats() works without a registry) plus optional bound instruments.
-  struct StageState {
-    std::atomic<std::uint64_t> rows{0};
-    std::atomic<std::uint64_t> escalations{0};
-    std::atomic<std::uint64_t> faults{0};
-    std::atomic<std::uint64_t> time_ns{0};
-    obs::Counter rows_counter;         // bound by bind_metrics
-    obs::Counter escalations_counter;  // bound by bind_metrics
-    obs::Counter faults_counter;       // bound by bind_metrics
-    obs::LatencyHistogram* stage_us = nullptr;
+  struct StageInstruments {
+    obs::Counter rows;
+    obs::Counter escalations;
+    obs::Counter faults;
+    obs::LatencyHistogram* stage_us;
   };
+  struct Instruments {
+    std::vector<StageInstruments> stages;  ///< one per stage
+    obs::Counter degraded;
+  };
+
+  /// Registers (or finds) every instrument on `registry`.
+  Instruments register_on(obs::MetricsRegistry& registry) const;
 
   std::vector<std::unique_ptr<ml::Scorer>> stages_;
   CascadeConfig config_;
-  std::unique_ptr<StageState[]> state_;  // one per stage, fixed at ctor
-  std::atomic<std::uint64_t> degraded_{0};
-  obs::Counter degraded_counter_;  // bound by bind_metrics
+  /// Holds the instruments until bind_metrics moves them, so stats() works
+  /// on a cascade no engine serves.
+  std::unique_ptr<obs::MetricsRegistry> own_registry_ =
+      std::make_unique<obs::MetricsRegistry>();
+  /// The registry metrics_ live on.
+  obs::MetricsRegistry* registry_ = own_registry_.get();
+  Instruments metrics_;
 };
 
 }  // namespace phishinghook::serve

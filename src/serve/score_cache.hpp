@@ -47,6 +47,9 @@ struct CacheStats {
 
 class ShardedScoreCache {
  public:
+  /// The shard count the scoring engine's cache uses.
+  static constexpr std::size_t kDefaultShards = 16;
+
   /// `capacity` is the total entry budget. `shards` is rounded up to a
   /// power of two so shard selection is a mask — and rounded back *down*
   /// (still a power of two) when it exceeds `capacity`, so no shard ends
@@ -55,7 +58,8 @@ class ShardedScoreCache {
   /// the per-shard capacities always sum to exactly `capacity` (i.e.
   /// capacity() reports the requested budget, never a floored
   /// approximation of it).
-  explicit ShardedScoreCache(std::size_t capacity, std::size_t shards = 16);
+  explicit ShardedScoreCache(std::size_t capacity,
+                             std::size_t shards = kDefaultShards);
 
   ShardedScoreCache(const ShardedScoreCache&) = delete;
   ShardedScoreCache& operator=(const ShardedScoreCache&) = delete;

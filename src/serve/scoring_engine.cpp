@@ -31,7 +31,7 @@ ScoringEngine::ScoringEngine(const chain::Explorer& explorer,
     : explorer_(&explorer),
       detector_(&detector),
       config_(config),
-      cache_(config.cache_capacity, config.cache_shards) {
+      cache_(config.cache_capacity) {
   // workers == 0 = auto: the same PHISHINGHOOK_THREADS knob that sizes the
   // training thread pool sizes the serving pool.
   if (config_.workers == 0) {
@@ -424,8 +424,7 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
     const double predict_start_us = tracer.now_us();
     try {
       obs::ScopedSpan predict_span("serve.predict");
-      detector_->score_batch(
-          ml::BytecodeBatchView(miss_codes.data(), miss_codes.size()), rows);
+      detector_->score_batch(miss_codes, rows);
       scored = true;
     } catch (const std::exception& e) {
       model_error = e.what();

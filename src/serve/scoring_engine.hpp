@@ -111,7 +111,6 @@ struct EngineConfig {
   std::size_t workers = 4;
   std::size_t max_batch = 32;
   std::size_t cache_capacity = 1 << 16;
-  std::size_t cache_shards = 16;
   /// Admission control: maximum queued (not yet batched) requests.
   /// 0 = unbounded. A row that must queue against a full queue resolves
   /// immediately with ScoreStatus::kShed; cache hits answered at

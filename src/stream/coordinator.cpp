@@ -21,7 +21,7 @@ StreamCoordinator::StreamCoordinator(LiveChain& chain,
       follower_(follower_view != nullptr ? *follower_view : chain.explorer(),
                 config.follower),
       generator_(config.arrivals),
-      addresses_(config.address_queue_capacity, "addresses"),
+      addresses_(kAddressQueueCapacity, "addresses"),
       window_(config.window),
       slo_(window_, config.slo) {}
 

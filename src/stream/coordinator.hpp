@@ -58,7 +58,6 @@ struct StreamConfig {
   /// schedules (honest rates, wall-clock runtime). Unpaced free-runs —
   /// for tests and smoke benches where only the accounting matters.
   bool paced = true;
-  std::size_t address_queue_capacity = 4096;
   /// Stop mining after this many blocks (0 = mine until drain).
   std::uint64_t max_blocks = 0;
   /// Stop generating after this many submissions (0 = until drain).
@@ -213,6 +212,8 @@ class StreamCoordinator {
   LoadGenerator generator_;
   StreamMetrics metrics_;
 
+  /// Fresh addresses the follower may hold ahead of the generator.
+  static constexpr std::size_t kAddressQueueCapacity = 4096;
   BoundedQueue<StampedAddress> addresses_;
 
   obs::SlidingWindowAggregator window_;

@@ -67,7 +67,7 @@ class ByteProbScorer final : public ml::Scorer {
                    std::span<ml::ScoredRow> out) override {
     ASSERT_EQ(out.size(), view.size());
     for (std::size_t i = 0; i < view.size(); ++i) {
-      out[i] = ml::ScoredRow{static_cast<double>(view[i].bytes()[0]) / 100.0,
+      out[i] = ml::ScoredRow{static_cast<double>(view[i]->bytes()[0]) / 100.0,
                              0, false};
     }
   }
@@ -174,7 +174,7 @@ TEST(Cascade, EscalatesExactlyTheRowsInsideTheBand) {
                                serve::CascadeConfig{0.40, 0.60});
 
   std::vector<ml::ScoredRow> rows(ptrs.size());
-  cascade.score_batch(ml::BytecodeBatchView(ptrs.data(), ptrs.size()), rows);
+  cascade.score_batch(ptrs, rows);
 
   // Outside the band: stage-0 score survives.
   EXPECT_EQ(rows[0].probability, 0.39);
@@ -204,7 +204,7 @@ TEST(Cascade, DisabledBandIsBitIdenticalToStageZeroAlone) {
   const std::unique_ptr<core::HistogramAdapter> adapter = fitted_adapter(
       std::make_unique<ml::LogisticRegressionClassifier>(), "lr");
   const std::vector<const evm::Bytecode*> codes = dataset_codes();
-  const std::vector<double> direct = adapter->predict_proba(codes);
+  const std::vector<double> direct = adapter->score_probabilities(codes);
 
   std::vector<std::unique_ptr<ml::Scorer>> stages;
   stages.push_back(std::make_unique<BorrowedScorer>(*adapter));
@@ -213,8 +213,7 @@ TEST(Cascade, DisabledBandIsBitIdenticalToStageZeroAlone) {
                                serve::CascadeConfig{1.0, 0.0});
 
   std::vector<ml::ScoredRow> rows(codes.size());
-  cascade.score_batch(ml::BytecodeBatchView(codes.data(), codes.size()),
-                      rows);
+  cascade.score_batch(codes, rows);
   ASSERT_EQ(rows.size(), direct.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].probability, direct[i]) << "row " << i;
@@ -247,7 +246,7 @@ TEST(Cascade, HeavyStageFaultDegradesRowsToStageZeroScore) {
                                serve::CascadeConfig{0.0, 1.0});
 
   std::vector<ml::ScoredRow> rows(ptrs.size());
-  cascade.score_batch(ml::BytecodeBatchView(ptrs.data(), ptrs.size()), rows);
+  cascade.score_batch(ptrs, rows);
   EXPECT_EQ(rows[0].probability, 0.45);
   EXPECT_EQ(rows[1].probability, 0.55);
   for (const ml::ScoredRow& row : rows) {
@@ -301,7 +300,7 @@ TEST(Cascade, MetricsBindAndExport) {
   obs::MetricsRegistry registry;
   cascade.bind_metrics(registry);
   std::vector<ml::ScoredRow> rows(ptrs.size());
-  cascade.score_batch(ml::BytecodeBatchView(ptrs.data(), ptrs.size()), rows);
+  cascade.score_batch(ptrs, rows);
   cascade.export_metrics(registry);
 
   std::ostringstream out;
@@ -312,6 +311,52 @@ TEST(Cascade, MetricsBindAndExport) {
   EXPECT_NE(text.find("serve_cascade_escalation_rate 0.5"),
             std::string::npos);
   EXPECT_NE(text.find("model=\"heavy\""), std::string::npos);
+}
+
+TEST(Cascade, StatsCarryOverWhenMetricsBind) {
+  // One batch scored unbound (the heavy stage throws once), then the
+  // counters move onto a registry and a second batch is scored: stats()
+  // holds the sums, and the bound registry's exposition says the same.
+  const std::vector<evm::Bytecode> codes = {code_with_first_byte(30),
+                                            code_with_first_byte(50),
+                                            code_with_first_byte(55)};
+  std::vector<const evm::Bytecode*> ptrs;
+  for (const evm::Bytecode& code : codes) ptrs.push_back(&code);
+
+  std::vector<std::unique_ptr<ml::Scorer>> stages;
+  stages.push_back(std::make_unique<ByteProbScorer>());
+  stages.push_back(std::make_unique<HealingScorer>(/*failures=*/1, 0.9));
+  serve::CascadeScorer cascade(std::move(stages),
+                               serve::CascadeConfig{0.4, 0.6});
+
+  std::vector<ml::ScoredRow> rows(ptrs.size());
+  cascade.score_batch(ptrs, rows);
+  obs::MetricsRegistry registry;
+  cascade.bind_metrics(registry);
+  cascade.score_batch(ptrs, rows);
+
+  const serve::CascadeStats stats = cascade.stats();
+  EXPECT_EQ(stats.stages[0].rows, 6u);
+  EXPECT_EQ(stats.stages[1].escalations, 4u);
+  EXPECT_EQ(stats.stages[1].rows, 2u);  // only the second batch healed
+  EXPECT_EQ(stats.stages[1].faults, 1u);
+  EXPECT_EQ(stats.rows_total, 6u);
+  EXPECT_EQ(stats.escalations_total, 4u);
+  EXPECT_EQ(stats.degraded_total, 2u);
+
+  std::ostringstream out;
+  registry.write_prometheus(out);
+  const std::string text = out.str();
+  const std::string stage0 = "{stage=\"0\",model=\"byte-prob\"} ";
+  const std::string stage1 = "{stage=\"1\",model=\"healing\"} ";
+  for (const std::string& sample :
+       {"serve_cascade_stage_rows" + stage0 + "6",
+        "serve_cascade_escalations" + stage1 + "4",
+        "serve_cascade_stage_rows" + stage1 + "2",
+        "serve_cascade_stage_faults" + stage1 + "1",
+        std::string("serve_cascade_degraded_rows 2")}) {
+    EXPECT_NE(text.find(sample + "\n"), std::string::npos) << sample;
+  }
 }
 
 // --- through the scoring engine ---------------------------------------------
@@ -432,8 +477,8 @@ TEST_F(CascadeEngineTest, HeavyFaultDegradesIsNotCachedAndHeals) {
   config.max_batch = 1;
   serve::ScoringEngine engine(*dataset().explorer, scorer, config);
 
-  const std::vector<double> direct =
-      stage0_->predict_proba({&dataset().samples.front().code});
+  const evm::Bytecode* const first = &dataset().samples.front().code;
+  const std::vector<double> direct = stage0_->score_probabilities({&first, 1});
 
   // First request: the heavy stage throws, the row degrades to stage 0.
   const serve::ScoreResult degraded =
@@ -529,9 +574,8 @@ TEST(CascadeArtifact, RoundTripIsBitIdentical) {
 
   const std::vector<const evm::Bytecode*> codes = dataset_codes();
   std::vector<ml::ScoredRow> expected(codes.size()), actual(codes.size());
-  const ml::BytecodeBatchView view(codes.data(), codes.size());
-  cascade.score_batch(view, expected);
-  loaded_cascade->score_batch(view, actual);
+  cascade.score_batch(codes, expected);
+  loaded_cascade->score_batch(codes, actual);
   for (std::size_t i = 0; i < codes.size(); ++i) {
     EXPECT_EQ(expected[i].probability, actual[i].probability) << "row " << i;
     EXPECT_EQ(expected[i].stage, actual[i].stage) << "row " << i;
@@ -557,9 +601,8 @@ TEST(CascadeArtifact, VersionOneArtifactStillLoads) {
   const std::unique_ptr<ml::Scorer> loaded = serve::load_scorer_artifact(v1);
   EXPECT_EQ(loaded->name(), "legacy-lr");
   const std::vector<const evm::Bytecode*> codes = dataset_codes();
-  const std::vector<double> expected = adapter->predict_proba(codes);
-  const std::vector<double> actual = loaded->score_probabilities(
-      ml::BytecodeBatchView(codes.data(), codes.size()));
+  const std::vector<double> expected = adapter->score_probabilities(codes);
+  const std::vector<double> actual = loaded->score_probabilities(codes);
   for (std::size_t i = 0; i < codes.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]) << "row " << i;
   }

@@ -34,9 +34,10 @@ TEST(HistogramVocabulary, UnseenMnemonicsDropped) {
 TEST(HistogramVocabulary, MatrixShape) {
   const Bytecode a = Bytecode::from_hex("0x6080604052");
   const Bytecode b = Bytecode::from_hex("0x00");
+  const std::vector<const Bytecode*> codes = {&a, &b};
   HistogramVocabulary vocab;
-  vocab.fit({&a, &b});
-  const ml::Matrix m = vocab.transform_all({&a, &b});
+  vocab.fit(codes);
+  const ml::Matrix m = vocab.transform_all(codes);
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), vocab.size());
 }

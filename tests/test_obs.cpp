@@ -955,24 +955,24 @@ TEST_F(ObsLoggingTest, EventsBelowLevelAreSuppressed) {
   EXPECT_TRUE(captured_lines().empty());
 }
 
-TEST(ObsLoggingEnv, NewPrefixWinsOverLegacy) {
-  setenv("PHOOK_LOG", "error", 1);
+TEST(ObsLoggingEnv, ReadsOnlyThePhishinghookPrefix) {
   setenv("PHISHINGHOOK_LOG", "debug", 1);
+  setenv("PHISHINGHOOK_LOG_FORMAT", "json", 1);
   common::refresh_log_from_env();
   EXPECT_EQ(common::log_level(), common::LogLevel::kDebug);
-
-  unsetenv("PHISHINGHOOK_LOG");
-  common::refresh_log_from_env();
-  EXPECT_EQ(common::log_level(), common::LogLevel::kError);
-
-  unsetenv("PHOOK_LOG");
-  setenv("PHOOK_LOG_FORMAT", "json", 1);
-  common::refresh_log_from_env();
   EXPECT_EQ(common::log_format(), common::LogFormat::kJson);
-  unsetenv("PHOOK_LOG_FORMAT");
+  unsetenv("PHISHINGHOOK_LOG");
+  unsetenv("PHISHINGHOOK_LOG_FORMAT");
+
+  // The old short prefix is not an alias: alone it leaves the defaults.
+  setenv("PHOOK_LOG", "error", 1);
+  setenv("PHOOK_LOG_FORMAT", "json", 1);
   common::refresh_log_from_env();
   EXPECT_EQ(common::log_level(), common::LogLevel::kInfo);
   EXPECT_EQ(common::log_format(), common::LogFormat::kText);
+  unsetenv("PHOOK_LOG");
+  unsetenv("PHOOK_LOG_FORMAT");
+  common::refresh_log_from_env();
 }
 
 // --- serve-stack integration -------------------------------------------------

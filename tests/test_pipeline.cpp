@@ -3,9 +3,11 @@
 // synthetic corpus.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 
 #include "common/csv.hpp"
+#include "common/errors.hpp"
 #include "core/bdm.hpp"
 #include "core/bem.hpp"
 #include "core/experiment.hpp"
@@ -228,7 +230,9 @@ TEST(EndToEnd, EscortStaysNearChanceWhileRandomForestDetects) {
 
 TEST(EndToEnd, EverySixteenModelFitsAndPredictsAtSmokeScale) {
   // The full registry must at least train and emit valid probabilities on a
-  // small split (accuracy claims are the benches' job).
+  // small split (accuracy claims are the benches' job), and every model
+  // keeps the ml::Scorer contract: single-stage rows, each a function of
+  // its own code only, and a wrong-sized out span rejected.
   const BuiltDataset& dataset = shared_dataset();
   std::vector<const Bytecode*> codes = codes_of(dataset.samples);
   std::vector<int> labels = labels_of(dataset.samples);
@@ -244,12 +248,21 @@ TEST(EndToEnd, EverySixteenModelFitsAndPredictsAtSmokeScale) {
   for (const ModelSpec& spec : all_models(params)) {
     auto model = spec.make(7);
     model->fit(train, train_y);
-    const auto probs = model->predict_proba(test);
-    ASSERT_EQ(probs.size(), test.size()) << spec.name;
-    for (double p : probs) {
-      EXPECT_GE(p, 0.0) << spec.name;
-      EXPECT_LE(p, 1.0) << spec.name;
+    std::vector<ml::ScoredRow> rows(test.size());
+    model->score_batch(test, rows);
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      EXPECT_GE(rows[i].probability, 0.0) << spec.name;
+      EXPECT_LE(rows[i].probability, 1.0) << spec.name;
+      EXPECT_EQ(rows[i].stage, 0u) << spec.name;
+      EXPECT_FALSE(rows[i].degraded) << spec.name;
+      const double alone = model->score_probabilities({&test[i], 1}).front();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(alone),
+                std::bit_cast<std::uint64_t>(rows[i].probability))
+          << spec.name << " row " << i << " scored alone";
     }
+    std::vector<ml::ScoredRow> short_out(test.size() - 1);
+    EXPECT_THROW(model->score_batch(test, short_out), InvalidArgument)
+        << spec.name;
   }
 }
 

@@ -81,6 +81,12 @@ core::HistogramAdapter fitted_adapter(
   return adapter;
 }
 
+/// One code scored as a one-row batch.
+double score_one(ml::Scorer& scorer, const evm::Bytecode& code) {
+  const evm::Bytecode* const ptr = &code;
+  return scorer.score_probabilities({&ptr, 1}).front();
+}
+
 /// Sends one HTTP request (which must ask for Connection: close) to
 /// 127.0.0.1:port; returns the response body ("" on any transport failure).
 std::string http_body(std::uint16_t port, const std::string& request) {
@@ -199,7 +205,7 @@ class RegionScorer final : public ml::Scorer {
         view.size(), [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             std::uint64_t sum = 0;
-            for (std::uint8_t byte : view[i].bytes()) sum += byte;
+            for (std::uint8_t byte : view[i]->bytes()) sum += byte;
             out[i].probability = static_cast<double>(sum % 1000) / 1000.0;
           }
           std::lock_guard<std::mutex> lock(chunk_mutex);
@@ -367,8 +373,8 @@ TEST(Artifact, RandomForestRoundTripIsBitIdentical) {
   // 100+ codes, exact equality — doubles travel as raw bits.
   std::vector<const evm::Bytecode*> codes = dataset_codes();
   ASSERT_GE(codes.size(), 100u);
-  const std::vector<double> expected = adapter.predict_proba(codes);
-  const std::vector<double> actual = loaded->predict_proba(codes);
+  const std::vector<double> expected = adapter.score_probabilities(codes);
+  const std::vector<double> actual = loaded->score_probabilities(codes);
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]) << "row " << i;
@@ -389,8 +395,8 @@ TEST(Artifact, LogisticRegressionRoundTripIsBitIdentical) {
   ASSERT_NE(loaded, nullptr);
 
   std::vector<const evm::Bytecode*> codes = dataset_codes();
-  const std::vector<double> expected = adapter.predict_proba(codes);
-  const std::vector<double> actual = loaded->predict_proba(codes);
+  const std::vector<double> expected = adapter.score_probabilities(codes);
+  const std::vector<double> actual = loaded->score_probabilities(codes);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]) << "row " << i;
   }
@@ -602,7 +608,7 @@ class ScoringEngineTest : public ::testing::Test {
       const core::ExtractedContract contract = bem.extract(address);
       out.push_back(contract.code.empty()
                         ? 0.0
-                        : adapter_->predict_proba({&contract.code}).front());
+                        : score_one(*adapter_, contract.code));
     }
     return out;
   }
@@ -618,7 +624,7 @@ class ScoringEngineTest : public ::testing::Test {
     std::vector<const evm::Bytecode*> views;
     for (const evm::Bytecode& code : codes) views.push_back(&code);
     std::vector<ml::ScoredRow> rows(views.size());
-    adapter_->score_batch(ml::BytecodeBatchView(views), rows);
+    adapter_->score_batch(views, rows);
     return rows;
   }
 
@@ -917,7 +923,7 @@ TEST_F(ScoringEngineTest, WorkersRunScorerRegionsInline) {
   std::vector<const evm::Bytecode*> views;
   for (const evm::Bytecode& code : codes) views.push_back(&code);
   std::vector<ml::ScoredRow> expected(views.size());
-  scorer.score_batch(ml::BytecodeBatchView(views), expected);
+  scorer.score_batch(views, expected);
   EXPECT_GT(regions.value(), regions_before);
   EXPECT_GT(scorer.foreign_chunks(), 0u);
   for (std::size_t i = 0; i < wave.size(); ++i) {
@@ -1101,9 +1107,9 @@ TEST_F(ScoringEngineTest, RpcScoreBatchFramesAreFreedOnceAnswered) {
 std::pair<evm::Bytecode, evm::Bytecode> differently_scored(
     core::HistogramAdapter& adapter) {
   const evm::Bytecode& first = dataset().samples.front().code;
-  const double first_p = adapter.predict_proba({&first}).front();
+  const double first_p = score_one(adapter, first);
   for (const synth::LabeledContract& sample : dataset().samples) {
-    if (adapter.predict_proba({&sample.code}).front() != first_p) {
+    if (score_one(adapter, sample.code) != first_p) {
       return {first, sample.code};
     }
   }
@@ -1116,8 +1122,8 @@ std::pair<evm::Bytecode, evm::Bytecode> differently_scored(
 // code's score, whether the answer comes at submission or from a worker.
 TEST_F(ScoringEngineTest, RedeployedCodeNeverGetsTheOldScore) {
   const auto [old_code, new_code] = differently_scored(*adapter_);
-  const double old_p = adapter_->predict_proba({&old_code}).front();
-  const double new_p = adapter_->predict_proba({&new_code}).front();
+  const double old_p = score_one(*adapter_, old_code);
+  const double new_p = score_one(*adapter_, new_code);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     chain::ChainStore chain;
     const chain::Explorer explorer(chain);
@@ -1154,8 +1160,8 @@ TEST_F(ScoringEngineTest, RedeployedCodeNeverGetsTheOldScore) {
 // old code's hash.
 TEST_F(ScoringEngineTest, CodeChangedAfterTheProbeIsScoredAsTheNewCode) {
   const auto [old_code, new_code] = differently_scored(*adapter_);
-  const double old_p = adapter_->predict_proba({&old_code}).front();
-  const double new_p = adapter_->predict_proba({&new_code}).front();
+  const double old_p = score_one(*adapter_, old_code);
+  const double new_p = score_one(*adapter_, new_code);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     for (const bool new_code_cached : {false, true}) {
       chain::ChainStore chain;

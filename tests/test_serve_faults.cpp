@@ -67,7 +67,7 @@ std::vector<evm::Address> all_addresses() {
   return out;
 }
 
-/// Detector decorator whose predict_proba can be told to throw — the
+/// Detector decorator whose score_batch can be told to throw — the
 /// "model backend fell over" half of the chaos matrix.
 class FailingDetector final : public core::PhishingClassifier {
  public:
@@ -78,10 +78,10 @@ class FailingDetector final : public core::PhishingClassifier {
            const std::vector<int>& labels) override {
     inner_->fit(codes, labels);
   }
-  std::vector<double> predict_proba(
-      const std::vector<const evm::Bytecode*>& codes) override {
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override {
     if (fail.load()) throw Error("model backend exploded");
-    return inner_->predict_proba(codes);
+    inner_->score_batch(view, out);
   }
   std::string name() const override { return "failing"; }
   core::ModelCategory category() const override {
@@ -395,7 +395,7 @@ TEST(ChaosEngine, CacheHitsAndEmptyCodeSurviveModelFailure) {
           .get();
 
   // The cache hit and the empty-code answer are valid results and must be
-  // delivered even though predict_proba threw for the same traffic.
+  // delivered even though score_batch threw for the same traffic.
   EXPECT_EQ(hit.status, serve::ScoreStatus::kOk);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.probability, warmed.probability);
